@@ -173,6 +173,9 @@ await_lines 5 "$SERVE_DIR/out1.jsonl"
 printf '%s\n' '{"op":"shutdown"}' >&3
 exec 3>&-
 wait "$SERVE_PID" || { echo "serve smoke: shutdown exit $?"; exit 1; }
+# Keep the live cursor's mid-stream shutdown checkpoint ("c1" = 6331):
+# the restart below overwrites it, and the offline CLI must resume it.
+cp "$SERVE_DIR/state/6331.snap" "$SERVE_DIR/c1_mid.snap"
 if grep -q '"ok":false' "$SERVE_DIR/out1.jsonl"; then
     echo "serve smoke: a request failed"
     grep '"ok":false' "$SERVE_DIR/out1.jsonl"
@@ -208,6 +211,12 @@ diff <(cat <(grep '"op":"idj_pull"' "$SERVE_DIR/out1.jsonl" | serve_pairs) \
            <(grep '"op":"idj_pull"' "$SERVE_DIR/out2.jsonl" | serve_pairs)) \
      <(grep -v '^#' "$SERVE_DIR/idj.txt") \
     || { echo "serve smoke: suspended+resumed cursor stream differs"; exit 1; }
+# The same mid-stream cursor snapshot is an ordinary incremental-join
+# checkpoint: `amdj idj --resume` finishes it into the one-shot stream.
+$AMDJ idj --r "$CKPT_DIR/a.amdj" --s "$CKPT_DIR/b.amdj" --take 40 --algo am \
+    --resume "$SERVE_DIR/c1_mid.snap" > "$SERVE_DIR/idj_resumed.txt" 2>/dev/null
+diff <(grep -v '^#' "$SERVE_DIR/idj_resumed.txt") <(grep -v '^#' "$SERVE_DIR/idj.txt") \
+    || { echo "serve smoke: CLI resume of a served cursor checkpoint differs"; exit 1; }
 # SIGINT must drain, checkpoint open cursors, and exit 75.
 mkfifo "$SERVE_DIR/in3"
 "$AMDJ_BIN" serve --r "$CKPT_DIR/a.amdj" --s "$CKPT_DIR/b.amdj" \
@@ -225,7 +234,29 @@ exec 3>&-
 # so arbitrary ids neither collide nor corrupt the manifest.
 [ -f "$SERVE_DIR/state3/736967.snap" ] \
     || { echo "serve smoke: SIGINT left no cursor checkpoint"; exit 1; }
-echo "serve smoke: concurrent queries bit-identical, cursor survived restart, SIGINT exited 75"
+# Pipelined cursor requests: idj_open and idj_pull written back to back,
+# with no wait for the open's response, run in arrival order.
+mkfifo "$SERVE_DIR/in4"
+"$AMDJ_BIN" serve --r "$CKPT_DIR/a.amdj" --s "$CKPT_DIR/b.amdj" \
+    < "$SERVE_DIR/in4" > "$SERVE_DIR/out4.jsonl" 2>/dev/null &
+SERVE_PID=$!
+exec 3> "$SERVE_DIR/in4"
+printf '%s\n' \
+    '{"op":"idj_open","id":"p1","take":40}' \
+    '{"op":"idj_pull","id":"p1","n":40}' >&3
+await_lines 2 "$SERVE_DIR/out4.jsonl"
+printf '%s\n' '{"op":"shutdown"}' >&3
+exec 3>&-
+wait "$SERVE_PID" || { echo "serve smoke: pipelined shutdown exit $?"; exit 1; }
+if grep -q '"ok":false' "$SERVE_DIR/out4.jsonl"; then
+    echo "serve smoke: a pipelined request failed"
+    grep '"ok":false' "$SERVE_DIR/out4.jsonl"
+    exit 1
+fi
+diff <(grep '"op":"idj_pull"' "$SERVE_DIR/out4.jsonl" | serve_pairs) \
+     <(grep -v '^#' "$SERVE_DIR/idj.txt") \
+    || { echo "serve smoke: pipelined cursor stream differs"; exit 1; }
+echo "serve smoke: concurrent queries bit-identical, cursor survived restart and CLI resume, SIGINT exited 75, pipelined cursor ops ran in order"
 
 echo "== socket smoke: amdj serve --listen over TCP =="
 # The same protocol over a real socket: kdj and an IDJ cursor driven

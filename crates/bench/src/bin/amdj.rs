@@ -13,7 +13,7 @@
 //! amdj knn      --r a.amdj --s b.amdj --k K
 //! amdj bench    [--n N] [--k K] [--seed S] [--json [FILE]]
 //! amdj serve    --r a.amdj --s b.amdj [--mem-budget BYTES] [--max-waiting N]
-//!               [--episode-expansions N] [--max-request-bytes N] [--state-dir DIR]
+//!               [--max-request-bytes N] [--state-dir DIR]
 //!               [--max-threads N] [--max-partitions N]
 //!               [--listen ADDR] [--max-conns N] [--idle-timeout-ms N]
 //! ```
@@ -35,7 +35,8 @@
 //! concurrent KDJ/IDJ queries over them through the line-delimited JSON
 //! protocol of [`amdj_core::serve`] (one request per line, one response
 //! line per request; see DESIGN.md §12–§13). By default requests arrive
-//! on stdin and responses leave on stdout; with `--listen ADDR` the same
+//! on stdin and responses leave on stdout, requests naming the same
+//! cursor running in arrival order; with `--listen ADDR` the same
 //! protocol is served over TCP instead, one handler per connection, with
 //! `--max-conns` bounding concurrent connections (excess ones get a
 //! structured error line and are closed) and `--idle-timeout-ms`
@@ -49,14 +50,14 @@
 //! restart with the same `--state-dir` resumes those cursors at their
 //! recorded delivery positions.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufWriter, Write};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use amdj_core::serve::{
-    codec::QuerySpec,
+    codec::{QuerySpec, Request, Response},
     transport::{serve_listener, TransportOptions},
     ServeOptions, Server,
 };
@@ -76,7 +77,7 @@ use amdj_rtree::{RTree, RTreeParams};
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  amdj generate --kind tiger-streets|tiger-hydro|uniform|clustered --n N [--seed S] --out data.csv\n  amdj build    --input data.csv --out index.amdj\n  amdj kdj      --r a.amdj --s b.amdj --k K [--algo am|b|hs|par|par-am] [--threads T]\n                [--partitions P] [--checkpoint-path P] [--checkpoint-every N] [--resume P]\n  amdj idj      --r a.amdj --s b.amdj --take N [--batch B] [--algo am|par-am] [--threads T]\n                [--checkpoint-path P] [--checkpoint-every N] [--resume P]\n  amdj within   --r a.amdj --s b.amdj --dist D\n  amdj knn      --r a.amdj --s b.amdj --k K\n  amdj bench    [--n N] [--k K] [--seed S] [--json [FILE]]\n  amdj serve    --r a.amdj --s b.amdj [--mem-budget BYTES] [--max-waiting N]\n                [--episode-expansions N] [--max-request-bytes N] [--state-dir DIR]\n                [--listen ADDR] [--max-conns N] [--idle-timeout-ms N]\n  (any join command also accepts --no-prefilter to disable the quantized MBR prefilter)"
+        "usage:\n  amdj generate --kind tiger-streets|tiger-hydro|uniform|clustered --n N [--seed S] --out data.csv\n  amdj build    --input data.csv --out index.amdj\n  amdj kdj      --r a.amdj --s b.amdj --k K [--algo am|b|hs|par|par-am] [--threads T]\n                [--partitions P] [--checkpoint-path P] [--checkpoint-every N] [--resume P]\n  amdj idj      --r a.amdj --s b.amdj --take N [--batch B] [--algo am|par-am] [--threads T]\n                [--checkpoint-path P] [--checkpoint-every N] [--resume P]\n  amdj within   --r a.amdj --s b.amdj --dist D\n  amdj knn      --r a.amdj --s b.amdj --k K\n  amdj bench    [--n N] [--k K] [--seed S] [--json [FILE]]\n  amdj serve    --r a.amdj --s b.amdj [--mem-budget BYTES] [--max-waiting N]\n                [--max-request-bytes N] [--state-dir DIR] [--max-threads N] [--max-partitions N]\n                [--listen ADDR] [--max-conns N] [--idle-timeout-ms N]\n  (any join command also accepts --no-prefilter to disable the quantized MBR prefilter)"
     );
     ExitCode::from(2)
 }
@@ -560,11 +561,6 @@ fn run() -> Result<ExitCode, String> {
             if let Some(v) = flags.get("max-waiting") {
                 sopts.max_waiting = v.parse().map_err(|e| format!("--max-waiting: {e}"))?;
             }
-            if let Some(v) = flags.get("episode-expansions") {
-                sopts.episode_expansions = v
-                    .parse()
-                    .map_err(|e| format!("--episode-expansions: {e}"))?;
-            }
             if let Some(v) = flags.get("max-request-bytes") {
                 sopts.max_request_bytes =
                     v.parse().map_err(|e| format!("--max-request-bytes: {e}"))?;
@@ -701,8 +697,11 @@ fn serve_loop(
 }
 
 /// The stdin transport: a reader thread feeds a channel, the loop polls
-/// it, and each request line gets its own handler thread writing the
-/// response line under a stdout lock.
+/// it, and each request runs on a handler thread that writes its
+/// response line under a stdout lock. Requests naming the same cursor
+/// run one at a time in arrival order — one lane per cursor id, drained
+/// by one handler — so a client may write `idj_open` and `idj_pull`
+/// back to back; every other request runs concurrently.
 fn serve_stdin(server: &Server<'_, 2>, r: &RTree<2>, s: &RTree<2>) {
     let (tx, rx) = std::sync::mpsc::channel::<String>();
     std::thread::spawn(move || {
@@ -716,11 +715,25 @@ fn serve_stdin(server: &Server<'_, 2>, r: &RTree<2>, s: &RTree<2>) {
     });
     let stdout = Mutex::new(std::io::stdout());
     let shutdown = AtomicBool::new(false);
+    // Cursor id → requests waiting behind the one its handler runs.
+    let lanes: Mutex<HashMap<String, VecDeque<Request>>> = Mutex::new(HashMap::new());
     eprintln!(
         "# serving {} x {} objects; one JSON request per line on stdin",
         r.len(),
         s.len()
     );
+    let respond = |resp: Response| {
+        let mut out = stdout.lock().expect("stdout poisoned");
+        let _ = writeln!(out, "{}", resp.encode());
+        let _ = out.flush();
+    };
+    let run = |req: Request| {
+        let (resp, stop) = server.handle_request(req);
+        if stop {
+            shutdown.store(true, Ordering::SeqCst);
+        }
+        respond(resp);
+    };
     std::thread::scope(|scope| {
         loop {
             if INTERRUPTED.load(Ordering::SeqCst) || shutdown.load(Ordering::SeqCst) {
@@ -735,18 +748,42 @@ fn serve_stdin(server: &Server<'_, 2>, r: &RTree<2>, s: &RTree<2>) {
             if line.trim().is_empty() {
                 continue;
             }
-            let (server, stdout, shutdown) = (server, &stdout, &shutdown);
-            scope.spawn(move || {
-                let (resp, stop) = server.handle_line(line.as_bytes());
-                if stop {
-                    shutdown.store(true, Ordering::SeqCst);
+            let req = match Request::decode(line.as_bytes(), server.options().max_request_bytes) {
+                Ok(req) => req,
+                Err(e) => {
+                    respond(Response::Error {
+                        id: None,
+                        error: e.to_string(),
+                    });
+                    continue;
                 }
-                let mut out = stdout.lock().expect("stdout poisoned");
-                let _ = writeln!(out, "{}", resp.encode());
-                let _ = out.flush();
+            };
+            let Some(id) = req.cursor_id().map(str::to_owned) else {
+                scope.spawn(move || run(req));
+                continue;
+            };
+            let mut open = lanes.lock().expect("lanes poisoned");
+            if let Some(queue) = open.get_mut(&id) {
+                queue.push_back(req);
+                continue;
+            }
+            open.insert(id.clone(), VecDeque::new());
+            drop(open);
+            let lanes = &lanes;
+            scope.spawn(move || {
+                let mut next = Some(req);
+                while let Some(req) = next {
+                    run(req);
+                    let mut open = lanes.lock().expect("lanes poisoned");
+                    next = open.get_mut(&id).and_then(VecDeque::pop_front);
+                    if next.is_none() {
+                        open.remove(&id);
+                    }
+                }
             });
         }
-        // Leaving the scope joins every in-flight handler: the drain.
+        // Leaving the scope joins every in-flight handler, and each lane
+        // handler first drains its queue: the drain.
     });
 }
 

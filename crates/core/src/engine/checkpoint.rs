@@ -93,9 +93,9 @@ pub enum Checkpointed<const D: usize> {
     /// The pause fired; resume by passing the snapshot back in. The
     /// [`JoinStats`](crate::JoinStats) cover *this episode only* (work
     /// and buffer attribution since the run or resume began), so a
-    /// multi-episode caller — the CLI's episode loop, a serve-mode
-    /// cursor — can accumulate exact per-query totals across
-    /// suspensions instead of losing the interrupted episode's counts.
+    /// multi-episode caller such as the CLI's episode loop can
+    /// accumulate exact totals across suspensions instead of losing the
+    /// interrupted episode's counts.
     Suspended(Box<EngineSnapshot<D>>, crate::JoinStats),
 }
 

@@ -133,6 +133,25 @@ pub struct EngineSnapshot<const D: usize> {
 }
 
 impl<const D: usize> EngineSnapshot<D> {
+    /// The snapshot of an incremental join of `take` pairs that has
+    /// produced `results` and has no work left — a resume-to-done
+    /// snapshot. The results double as the distance evidence.
+    pub(crate) fn idj_finished(take: u64, results: Vec<ResultPair>) -> Self {
+        EngineSnapshot {
+            kind: SnapshotKind::Idj { take },
+            stage: 1,
+            edmax: f64::INFINITY,
+            shared_bound: f64::INFINITY,
+            k_target: take,
+            emitted: results.len() as u64,
+            last_dist: results.last().map_or(0.0, |p| p.dist),
+            dists: results.iter().map(|p| p.dist).collect(),
+            results,
+            frontier: Vec::new(),
+            comps: Vec::new(),
+        }
+    }
+
     /// Which join this snapshot belongs to.
     pub fn kind(&self) -> SnapshotKind {
         self.kind

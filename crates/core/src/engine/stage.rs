@@ -19,6 +19,7 @@ use crate::{
 use super::bound::MinBound;
 use super::checkpoint::PauseCtl;
 use super::driver::{push_roots, to_result};
+use super::snapshot::EngineSnapshot;
 use super::sweep::{CompEntry, CompQueue, MarkMode, SweepScratch, SweepSink};
 
 /// Sink for incremental sweeps: the stage's `eDmax` is the only cutoff
@@ -80,6 +81,16 @@ pub struct StageDriver<'a, const D: usize> {
     /// Cooperative pause signal of a resumable join; checked once per
     /// step-loop iteration, ticked per expansion/compensation.
     pause: Option<&'a PauseCtl>,
+}
+
+impl<const D: usize> std::fmt::Debug for StageDriver<'_, D> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("StageDriver")
+            .field("stage", &self.counters.stages)
+            .field("edmax", &self.edmax)
+            .field("emitted", &self.emitted)
+            .finish_non_exhaustive()
+    }
 }
 
 /// One advance of the stage loop, pause-aware (the resumable incremental
@@ -454,6 +465,22 @@ impl<'a, const D: usize> StageDriver<'a, D> {
         )
     }
 
+    /// Consumes a standalone cursor into an incremental-join snapshot of
+    /// `take` pairs: its suspended queues plus `results`, the pairs it
+    /// has produced. With no shared bound, the snapshot's is infinite.
+    pub(crate) fn into_snapshot(self, take: u64, results: Vec<ResultPair>) -> EngineSnapshot<D> {
+        let (cut, _, _) = self.suspend();
+        EngineSnapshot {
+            stage: cut.stage,
+            edmax: cut.edmax,
+            k_target: cut.k_target,
+            last_dist: cut.last_dist,
+            frontier: cut.frontier,
+            comps: cut.comps,
+            ..EngineSnapshot::idj_finished(take, results)
+        }
+    }
+
     /// Consumes the cursor, folding its queue work into the returned
     /// counters (plus the queue's modeled I/O seconds). Unlike
     /// [`stats`](Self::stats) this reports no tree access deltas — those
@@ -467,6 +494,21 @@ impl<'a, const D: usize> StageDriver<'a, D> {
 
     /// A snapshot of the work done so far.
     pub fn stats(&self) -> JoinStats {
+        let mut st = self.work_stats();
+        // Only valid standalone: a parallel worker's cursor reports no
+        // tree/buffer deltas (see `finish_worker`), so this snapshot path
+        // may assume every fetch since `buf0` happened on this thread.
+        let (h, m, e) = amdj_rtree::thread_buffer_stats();
+        st.buffer_hits = h - self.buf0.0;
+        st.buffer_misses = m - self.buf0.1;
+        st.buffer_evictions = e - self.buf0.2;
+        st
+    }
+
+    /// [`stats`](Self::stats) without the buffer counters, which are
+    /// per-thread: a cursor advanced from several threads in turn (a
+    /// served cursor) measures them around each advance instead.
+    pub(crate) fn work_stats(&self) -> JoinStats {
         let mut st = self.counters;
         st.mainq_insertions = self.mainq.insertions();
         let (ra, sa) = (self.r.access_stats(), self.s.access_stats());
@@ -480,13 +522,6 @@ impl<'a, const D: usize> StageDriver<'a, D> {
         st.io_seconds = (self.r.disk_stats().io_seconds - self.r_io0)
             + (self.s.disk_stats().io_seconds - self.s_io0)
             + qd.io_seconds;
-        // Only valid standalone: a parallel worker's cursor reports no
-        // tree/buffer deltas (see `finish_worker`), so this snapshot path
-        // may assume every fetch since `buf0` happened on this thread.
-        let (h, m, e) = amdj_rtree::thread_buffer_stats();
-        st.buffer_hits = h - self.buf0.0;
-        st.buffer_misses = m - self.buf0.1;
-        st.buffer_evictions = e - self.buf0.2;
         st
     }
 }

@@ -110,7 +110,7 @@ pub enum Request {
         /// Pairs the client had already received before the
         /// checkpoint (the cursor resumes delivery after them).
         delivered: u64,
-        /// Engine knobs for the resumed episodes.
+        /// Engine knobs for the resumed cursor.
         spec: QuerySpec,
     },
     /// Drop an open cursor.
@@ -455,6 +455,20 @@ impl Fields {
 }
 
 impl Request {
+    /// The cursor a request operates on: the id of every `idj_*` op,
+    /// `None` for the rest. Requests naming the same cursor must run in
+    /// arrival order — a cursor serves one request at a time.
+    pub fn cursor_id(&self) -> Option<&str> {
+        match self {
+            Request::IdjOpen { id, .. }
+            | Request::IdjPull { id, .. }
+            | Request::IdjCheckpoint { id }
+            | Request::IdjResume { id, .. }
+            | Request::IdjClose { id } => Some(id),
+            Request::Kdj { .. } | Request::Stats | Request::Shutdown => None,
+        }
+    }
+
     /// Decodes one request line. `max_bytes` caps the accepted line
     /// length; everything else that can go wrong is a structured
     /// [`RequestError`], never a panic.

@@ -16,19 +16,19 @@
 //!   budget; overflow waits in a bounded FIFO line, and a full line is
 //!   a structured rejection. Blocking happens on the *handler thread*
 //!   (one per in-flight request), so admitted queries always progress;
-//! * **sessions** ([`session`]) — IDJ cursors are suspended
-//!   [`EngineSnapshot`](crate::EngineSnapshot)s behind ids, with
-//!   checkout semantics so concurrent requests against one cursor fail
-//!   fast instead of racing;
+//! * **sessions** ([`session`]) — IDJ cursors are live
+//!   [`StageDriver`](crate::engine::StageDriver)s behind ids, kept between
+//!   pulls, with checkout semantics so concurrent requests against one
+//!   cursor fail fast instead of racing;
 //! * **codec** ([`codec`]) — the line-delimited JSON protocol, with
 //!   every malformed input reported as a byte-offset error in the
 //!   storage codec's style.
 //!
 //! Every query's buffer traffic is attributed to its id: the engine's
 //! `Baseline` captures the coordinating handler thread, worker spans
-//! capture the join's own workers, and suspended episodes return their
-//! stats through [`Checkpointed::Suspended`](crate::Checkpointed) — so
-//! the per-query counters in the `stats` response sum exactly to the
+//! capture the join's own workers, and a cursor measures each pull's
+//! buffer deltas on whichever handler thread served it — so the
+//! per-query counters in the `stats` response sum exactly to the
 //! shared buffer's global deltas (`tests/serve_concurrent.rs`).
 
 pub mod admission;
@@ -56,8 +56,9 @@ pub struct ServeOptions {
     pub mem_budget_bytes: u64,
     /// Requests allowed to wait for admission before rejection.
     pub max_waiting: usize,
-    /// Expansion budget per cursor episode (`0` = run to completion in
-    /// one episode; pulls then never suspend mid-join).
+    /// Ignored: cursors keep a live engine between pulls and no longer
+    /// run in budgeted episodes. Kept only so existing callers compile.
+    #[deprecated(note = "serve cursors no longer run in episodes; the value is ignored")]
     pub episode_expansions: u64,
     /// Request line size cap, bytes.
     pub max_request_bytes: usize,
@@ -79,6 +80,7 @@ pub struct ServeOptions {
 }
 
 impl Default for ServeOptions {
+    #[allow(deprecated)] // `episode_expansions` keeps its old default
     fn default() -> Self {
         let base_config = JoinConfig::default();
         let cores = std::thread::available_parallelism().map_or(4, |n| n.get() as u64);
@@ -211,7 +213,7 @@ pub struct Server<'t, const D: usize> {
     s: &'t RTree<D>,
     opts: ServeOptions,
     admission: Admission,
-    cursors: CursorTable<D>,
+    cursors: CursorTable<'t, D>,
     reports: Mutex<Vec<QueryReport>>,
     queries: AtomicU64,
 }
@@ -225,7 +227,7 @@ impl<'t, const D: usize> Server<'t, D> {
             s,
             opts,
             admission,
-            cursors: CursorTable::new(),
+            cursors: CursorTable::default(),
             reports: Mutex::new(Vec::new()),
             queries: AtomicU64::new(0),
         }
@@ -414,8 +416,10 @@ impl<'t, const D: usize> Server<'t, D> {
         self.cursors.insert(id, cursor)
     }
 
-    /// Pulls the next `n` pairs from a cursor, running resumable
-    /// episodes under admission control until the window is stable.
+    /// Pulls the next `n` pairs from a cursor under admission control:
+    /// the pull holds one admission slot while the cursor's engine
+    /// advances, and releases it before the cursor goes back to the
+    /// table.
     pub fn idj_pull(&self, id: &str, n: usize) -> Result<Pull, ServeError> {
         let mut cursor = self.cursors.checkout(id)?;
         let cfg = self.config_for(cursor.spec());
@@ -423,26 +427,26 @@ impl<'t, const D: usize> Server<'t, D> {
             Err(e) => Err(e),
             Ok(guard) => {
                 cursor.queue_wait_ns += guard.queue_wait_ns;
-                let res = cursor.pull(
-                    self.r,
-                    self.s,
-                    &cfg,
-                    &self.opts.idj_opts,
-                    self.opts.episode_expansions,
-                    n,
-                );
+                let res = cursor.pull(self.r, self.s, &cfg, &self.opts.idj_opts, n);
                 drop(guard);
                 res
             }
         };
         let wait_ns = cursor.queue_wait_ns;
-        let hits = cursor.stats.buffer_hits;
-        let misses = cursor.stats.buffer_misses;
-        let evictions = cursor.stats.buffer_evictions;
+        let stats = cursor.stats();
         let delivered = cursor.delivered();
         self.cursors.checkin(id, cursor);
         let (results, done) = outcome?;
-        self.record(id, "idj", wait_ns, hits, misses, evictions, delivered, true);
+        self.record(
+            id,
+            "idj",
+            wait_ns,
+            stats.buffer_hits,
+            stats.buffer_misses,
+            stats.buffer_evictions,
+            delivered,
+            true,
+        );
         Ok(Pull {
             results,
             done,
@@ -583,18 +587,22 @@ impl<'t, const D: usize> Server<'t, D> {
     /// structured [`Response::Error`]; this seam never panics
     /// (`tests/serve_codec.rs` fuzzes it).
     pub fn handle_line(&self, line: &[u8]) -> (Response, bool) {
-        let req = match Request::decode(line, self.opts.max_request_bytes) {
-            Ok(req) => req,
-            Err(e) => {
-                return (
-                    Response::Error {
-                        id: None,
-                        error: e.to_string(),
-                    },
-                    false,
-                )
-            }
-        };
+        match Request::decode(line, self.opts.max_request_bytes) {
+            Ok(req) => self.handle_request(req),
+            Err(e) => (
+                Response::Error {
+                    id: None,
+                    error: e.to_string(),
+                },
+                false,
+            ),
+        }
+    }
+
+    /// Dispatches one decoded request: [`handle_line`](Server::handle_line)
+    /// after the decode, for transports that route requests by
+    /// [`Request::cursor_id`] before running them.
+    pub fn handle_request(&self, req: Request) -> (Response, bool) {
         let (id, resp) = match req {
             Request::Kdj { id, k, spec } => {
                 let resp =

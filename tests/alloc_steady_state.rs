@@ -11,9 +11,13 @@
 //! dividing by the expansion count separates the two regimes cleanly:
 //! the old code cannot go below 2 allocations per expansion, the new one
 //! sits well under 1.
+//!
+//! Allocations are counted per thread: the test harness runs the tests
+//! in parallel, and a process-wide counter would charge each test with
+//! the other's allocations. Both joins run on the test's own thread.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use amdj_core::{am_kdj, b_kdj, AmKdjOptions, JoinConfig};
 use amdj_geom::{Point, Rect};
@@ -21,14 +25,24 @@ use amdj_rtree::{RTree, RTreeParams};
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialised and without a destructor, so reading it never
+    // allocates and never re-enters the allocator.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts one allocation against the calling thread. A thread being
+/// torn down has no counter any more; its allocations go uncounted.
+fn count_one() {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 // SAFETY: delegates every operation to `System` unchanged; the counter is
-// a relaxed atomic with no further invariants.
+// a thread-local cell with no further invariants.
 #[allow(unsafe_code)]
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
 
@@ -37,7 +51,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -45,8 +59,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Allocations made so far by the calling thread.
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 /// Small pages force deep trees (many node-pair expansions to count);

@@ -6,10 +6,10 @@
 //! The attribution invariant is the sharp one: each query's
 //! `buffer_hits`/`buffer_misses` combine the coordinating handler
 //! thread's deltas (the engine's `Baseline`), its workers' deltas
-//! (worker spans), and — for cursors — every suspended episode's stats
-//! (which ride `Checkpointed::Suspended`). Summing the per-query rows
-//! must therefore reproduce the shared buffer's global counter deltas
-//! exactly: nothing double-counted, nothing dropped.
+//! (worker spans), and — for cursors — every pull's deltas on whichever
+//! thread served it. Summing the per-query rows must therefore
+//! reproduce the shared buffer's global counter deltas exactly: nothing
+//! double-counted, nothing dropped.
 
 use amdj_core::serve::{
     codec::{QuerySpec, Response},
@@ -24,12 +24,20 @@ use amdj_tests::build_trees;
 
 /// One concurrent query of the mixed workload.
 enum Kind {
-    Kdj { k: usize, spec: QuerySpec },
-    Idj { take: usize, batch: usize },
+    Kdj {
+        k: usize,
+        spec: QuerySpec,
+    },
+    Idj {
+        take: usize,
+        batch: usize,
+        spec: QuerySpec,
+    },
 }
 
 /// The deterministic mixed workload: a cycle of aggressive sequential
-/// KDJ, exact 2-thread KDJ, pull-driven IDJ cursors, and aggressive
+/// KDJ, exact 2-thread KDJ, pull-driven IDJ cursors (alternately live
+/// single-thread ones and materialised 2-thread ones), and aggressive
 /// 2-thread KDJ, with varying k.
 fn cells(n_queries: usize, k: usize) -> Vec<(String, Kind)> {
     (0..n_queries)
@@ -50,6 +58,10 @@ fn cells(n_queries: usize, k: usize) -> Vec<(String, Kind)> {
                 2 => Kind::Idj {
                     take: k.max(3),
                     batch: (k / 3).max(1),
+                    spec: QuerySpec {
+                        threads: if i % 8 == 6 { 2 } else { 1 },
+                        ..QuerySpec::default()
+                    },
                 },
                 _ => Kind::Kdj {
                     k: (k / 4).max(1),
@@ -144,9 +156,9 @@ fn run_mixed(n_queries: usize) {
                 let server = &server;
                 scope.spawn(move || match kind {
                     Kind::Kdj { k, spec } => server.kdj(id, *k, spec).expect("admitted").0.results,
-                    Kind::Idj { take, batch } => {
+                    Kind::Idj { take, batch, spec } => {
                         server
-                            .idj_open(id, *take, QuerySpec::default())
+                            .idj_open(id, *take, spec.clone())
                             .expect("cursor opens");
                         let mut out = Vec::with_capacity(*take);
                         loop {
@@ -215,6 +227,99 @@ fn eight_concurrent_queries_bit_identical_and_attributed() {
 #[test]
 fn thirty_two_concurrent_queries_bit_identical_and_attributed() {
     run_mixed(32);
+}
+
+/// A served cursor is pulled from whichever handler thread gets the
+/// request, so its buffer attribution must be measured per pull on the
+/// pulling thread — not against a baseline captured on the thread that
+/// happened to start it. One cursor pulled alternately from two
+/// threads, next to a concurrent KDJ query, must still stream the
+/// uninterrupted result and keep the rows-sum-to-global-deltas
+/// invariant.
+#[test]
+fn cursor_pulled_from_alternating_threads_is_attributed() {
+    let a = uniform_points(600, unit_universe(), 81);
+    let b = clustered_points(600, 16, 0.02, unit_universe(), 82);
+    let (r, s) = build_trees(&a, &b);
+    let cfg = JoinConfig::default();
+    let take = 90;
+    let kind = Kind::Idj {
+        take,
+        batch: 10,
+        spec: QuerySpec::default(),
+    };
+    let want = serial(&r, &s, &cfg, &kind);
+    let global = |r: &RTree<2>, s: &RTree<2>| {
+        (
+            r.buffer_hits() + s.buffer_hits(),
+            r.buffer_misses() + s.buffer_misses(),
+            r.buffer_evictions() + s.buffer_evictions(),
+        )
+    };
+    let before = global(&r, &s);
+    let server = Server::new(
+        &r,
+        &s,
+        ServeOptions {
+            base_config: cfg.clone(),
+            ..ServeOptions::default()
+        },
+    );
+    server
+        .idj_open("c", take, QuerySpec::default())
+        .expect("cursor opens");
+    let got = std::thread::scope(|scope| {
+        let server = &server;
+        scope.spawn(move || server.kdj("k", 40, &QuerySpec::default()).expect("kdj"));
+        // Two long-lived pullers take turns: each pull runs on the
+        // thread holding the turn, so consecutive pulls of the one
+        // cursor land on different threads.
+        let (turn_a, rx_a) = std::sync::mpsc::channel::<()>();
+        let (turn_b, rx_b) = std::sync::mpsc::channel::<()>();
+        let (pulled, results) = std::sync::mpsc::channel();
+        for rx in [rx_a, rx_b] {
+            let pulled = pulled.clone();
+            scope.spawn(move || {
+                for () in rx {
+                    let pull = server.idj_pull("c", 10).expect("pull");
+                    pulled.send(pull).expect("collector alive");
+                }
+            });
+        }
+        let mut out = Vec::new();
+        for turn in [&turn_a, &turn_b].into_iter().cycle() {
+            turn.send(()).expect("puller alive");
+            let pull = results.recv().expect("pull result");
+            out.extend(pull.results);
+            if pull.done || out.len() >= take {
+                break;
+            }
+        }
+        drop((turn_a, turn_b));
+        out
+    });
+    assert_identical("alternating-thread cursor", &want, &got);
+    let reports = server.query_reports();
+    assert_eq!(reports.len(), 2, "one row for the cursor, one for the kdj");
+    let after = global(&r, &s);
+    let sum = |f: fn(&amdj_core::serve::codec::QueryReport) -> u64| -> u64 {
+        reports.iter().map(f).sum()
+    };
+    assert_eq!(sum(|rep| rep.buffer_hits), after.0 - before.0, "hits");
+    assert_eq!(sum(|rep| rep.buffer_misses), after.1 - before.1, "misses");
+    assert_eq!(
+        sum(|rep| rep.buffer_evictions),
+        after.2 - before.2,
+        "evictions"
+    );
+    let cursor = reports
+        .iter()
+        .find(|rep| rep.id == "c")
+        .expect("cursor row");
+    assert!(
+        cursor.buffer_hits + cursor.buffer_misses > 0,
+        "the cursor's own fetches are attributed to it"
+    );
 }
 
 /// Per-query `threads`/`partitions` come straight off the wire as

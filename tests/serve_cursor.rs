@@ -9,7 +9,8 @@ use amdj_core::serve::{
     snap_file_name, ServeError, ServeOptions, Server,
 };
 use amdj_core::{
-    kdj_resumable, AmIdj, AmIdjOptions, Checkpointed, JoinConfig, PauseCtl, ResultPair,
+    idj_resumable, kdj_resumable, AmIdj, AmIdjOptions, Checkpointed, EngineSnapshot, JoinConfig,
+    PauseCtl, ResultPair,
 };
 use amdj_datagen::{clustered_points, uniform_points, unit_universe};
 use amdj_rtree::RTree;
@@ -38,9 +39,6 @@ fn reference(r: &RTree<2>, s: &RTree<2>, cfg: &JoinConfig, take: usize) -> Vec<R
 fn serve_opts(cfg: &JoinConfig) -> ServeOptions {
     ServeOptions {
         base_config: cfg.clone(),
-        // Small episodes so pulls and checkpoints exercise real
-        // mid-join suspensions, not run-to-completion shortcuts.
-        episode_expansions: 64,
         ..ServeOptions::default()
     }
 }
@@ -379,4 +377,99 @@ fn failed_shutdown_checkpoint_loses_no_cursors() {
     }
     assert_identical("post-retry remainder", &want[11..], &rest);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A live cursor's mid-stream checkpoint is an ordinary incremental-join
+/// snapshot: the offline resumable join finishes it bit-identically, at
+/// one thread and at two.
+#[test]
+fn live_cursor_checkpoint_resumes_through_idj_resumable() {
+    let (r, s) = workload();
+    let cfg = JoinConfig::default();
+    let take = 70;
+    let want = reference(&r, &s, &cfg, take);
+    let server = Server::new(&r, &s, serve_opts(&cfg));
+    server
+        .idj_open("c", take, QuerySpec::default())
+        .expect("opens");
+    let first = server.idj_pull("c", 30).expect("pull");
+    assert_identical("live window", &want[..30], &first.results);
+    let (bytes, at) = server.idj_checkpoint("c").expect("checkpoint");
+    assert_eq!(at, 30);
+    for threads in [1, 2] {
+        let snap = EngineSnapshot::<2>::decode(&bytes).expect("own snapshot decodes");
+        assert_eq!(snap.results_len(), 30, "the delivered pairs ride along");
+        let out = match idj_resumable(
+            &r,
+            &s,
+            take,
+            &cfg,
+            &AmIdjOptions::default(),
+            threads,
+            None,
+            Some(snap),
+            None,
+        )
+        .expect("resumes")
+        {
+            Checkpointed::Done(out) => out,
+            Checkpointed::Suspended(..) => panic!("no pause control was attached"),
+        };
+        assert_identical(
+            &format!("idj_resumable at {threads} thread(s)"),
+            &want,
+            &out.results,
+        );
+    }
+    // The checkpointed cursor itself keeps serving the same stream.
+    let rest = server.idj_pull("c", take).expect("pull after checkpoint");
+    assert!(rest.done);
+    assert_identical("post-checkpoint remainder", &want[30..], &rest.results);
+}
+
+/// A mid-join snapshot cut by the offline resumable join — the format
+/// `amdj idj --checkpoint-path` writes — resumes as a served cursor and
+/// streams the uninterrupted result bit for bit.
+#[test]
+fn mid_join_resumable_snapshot_resumes_as_served_cursor() {
+    let (r, s) = workload();
+    let cfg = JoinConfig::default();
+    let take = 80;
+    let want = reference(&r, &s, &cfg, take);
+    for threads in [1, 2] {
+        let ctl = PauseCtl::every(40);
+        let snap = match idj_resumable(
+            &r,
+            &s,
+            take,
+            &cfg,
+            &AmIdjOptions::default(),
+            threads,
+            None,
+            None,
+            Some(&ctl),
+        )
+        .expect("runs")
+        {
+            Checkpointed::Suspended(snap, _) => snap,
+            Checkpointed::Done(_) => panic!("a 40-expansion budget must suspend"),
+        };
+        let server = Server::new(&r, &s, serve_opts(&cfg));
+        server
+            .idj_resume("m", &snap.encode(), 0, QuerySpec::default())
+            .expect("resumes");
+        let mut got = Vec::new();
+        loop {
+            let pull = server.idj_pull("m", 25).expect("pull");
+            got.extend(pull.results);
+            if pull.done {
+                break;
+            }
+        }
+        assert_identical(
+            &format!("served resume of a {threads}-thread cut"),
+            &want,
+            &got,
+        );
+    }
 }

@@ -32,8 +32,6 @@ fn workload() -> (RTree<2>, RTree<2>) {
 fn serve_opts(cfg: &JoinConfig) -> ServeOptions {
     ServeOptions {
         base_config: cfg.clone(),
-        // Small episodes so idj pulls suspend mid-join over the wire.
-        episode_expansions: 64,
         ..ServeOptions::default()
     }
 }
