@@ -26,13 +26,13 @@ BENCH_SMOKE_JSON="$(mktemp -t bench_smoke.XXXXXX.json)"
 trap 'rm -f "$BENCH_SMOKE_JSON"' EXIT
 cargo run --release -q -p amdj-bench --bin amdj -- \
     bench --n 300 --k 20 --json "$BENCH_SMOKE_JSON" 2>/dev/null
-grep -q '"schema_version": 9' "$BENCH_SMOKE_JSON" \
-    || { echo "bench smoke: schema_version != 9"; exit 1; }
+grep -q '"schema_version": 10' "$BENCH_SMOKE_JSON" \
+    || { echo "bench smoke: schema_version != 10"; exit 1; }
 for col in op algo dataset query_id transport connections threads steal partition \
            prefilter k partitions \
            wall_time_s node_accesses \
            pairs_computed quantized_rejects exact_dist_skipped results \
-           pairs_stolen steal_attempts barrier_idle_ns \
+           pairs_stolen steal_attempts barrier_idle_ns queue_splits queue_swap_ins \
            buffer_hits buffer_misses buffer_evictions buffer_hit_rate \
            queue_wait_ns admission_rejections \
            buffer_hits_by_worker buffer_misses_by_worker \
@@ -76,7 +76,7 @@ grep -Eq '"op": "serve".*"transport": "tcp"' "$BENCH_SMOKE_JSON" \
     || { echo "bench smoke: serve rows not tagged with the tcp transport"; exit 1; }
 grep -Eq '"op": "serve".*"queue_wait_ns": [1-9]' "$BENCH_SMOKE_JSON" \
     || { echo "bench smoke: no serve row reports a nonzero queue wait"; exit 1; }
-echo "bench smoke: schema_version 9 with all required columns, partition pruning fired"
+echo "bench smoke: schema_version 10 with all required columns, partition pruning fired"
 
 echo "== checkpoint smoke: interrupt, resume, compare =="
 # An interrupted join must exit 75 with a checkpoint on disk, and the

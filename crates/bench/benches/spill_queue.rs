@@ -1,5 +1,7 @@
 //! Hybrid memory/disk queue micro-benchmarks: push/pop throughput under
-//! various memory budgets, and the value of Equation-3 boundaries.
+//! various memory budgets, the value of Equation-3 boundaries, and a
+//! tie-heavy stream where most keys share the minimum (the zero-distance
+//! pairs of overlapping TIGER MBRs).
 
 use amdj_storage::codec::{put_f64, put_u64, Reader};
 use amdj_storage::{SpillItem, SpillQueue, SpillQueueConfig};
@@ -36,6 +38,35 @@ fn keys(n: usize) -> Vec<f64> {
         .collect()
 }
 
+/// Four keys in five tie at 0; the rest are distinct, spread above it.
+fn tie_keys(n: usize) -> Vec<f64> {
+    keys(n)
+        .into_iter()
+        .enumerate()
+        .map(|(i, k)| if i % 5 == 0 { 1.0 + k } else { 0.0 })
+        .collect()
+}
+
+/// Pushes every key into a queue of `budget` bytes, then drains it.
+fn push_pop(ks: &[f64], budget: usize) -> u64 {
+    let mut q = SpillQueue::new(SpillQueueConfig {
+        mem_budget: budget,
+        boundaries: vec![],
+        cost: amdj_storage::CostModel::free(),
+    });
+    for (i, &k) in ks.iter().enumerate() {
+        q.push(Item {
+            key: k,
+            id: i as u64,
+        });
+    }
+    let mut n = 0u64;
+    while q.pop().is_some() {
+        n += 1;
+    }
+    n
+}
+
 fn bench_push_pop(c: &mut Criterion) {
     let mut g = c.benchmark_group("spill_queue/push_pop_100k");
     let ks = keys(100_000);
@@ -47,24 +78,26 @@ fn bench_push_pop(c: &mut Criterion) {
             format!("{}k", budget / 1024)
         };
         g.bench_with_input(BenchmarkId::from_parameter(label), &budget, |b, &budget| {
-            b.iter(|| {
-                let mut q = SpillQueue::new(SpillQueueConfig {
-                    mem_budget: budget,
-                    boundaries: vec![],
-                    cost: amdj_storage::CostModel::free(),
-                });
-                for (i, &k) in ks.iter().enumerate() {
-                    q.push(Item {
-                        key: k,
-                        id: i as u64,
-                    });
-                }
-                let mut n = 0u64;
-                while q.pop().is_some() {
-                    n += 1;
-                }
-                n
-            });
+            b.iter(|| push_pop(&ks, budget));
+        });
+    }
+    g.finish();
+}
+
+fn bench_min_key_ties(c: &mut Criterion) {
+    // 80% of the keys tie at the minimum: every split must still leave at
+    // most half the heap resident, or the queue splits on every insert.
+    let mut g = c.benchmark_group("spill_queue/ties_100k");
+    let ks = tie_keys(100_000);
+    g.throughput(Throughput::Elements(ks.len() as u64));
+    for &budget in &[512 * 1024usize, usize::MAX] {
+        let label = if budget == usize::MAX {
+            "unbounded".to_string()
+        } else {
+            format!("{}k", budget / 1024)
+        };
+        g.bench_with_input(BenchmarkId::from_parameter(label), &budget, |b, &budget| {
+            b.iter(|| push_pop(&ks, budget));
         });
     }
     g.finish();
@@ -105,5 +138,10 @@ fn bench_boundary_guidance(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_push_pop, bench_boundary_guidance);
+criterion_group!(
+    benches,
+    bench_push_pop,
+    bench_boundary_guidance,
+    bench_min_key_ties
+);
 criterion_main!(benches);

@@ -847,6 +847,10 @@ struct BenchRow {
     pairs_stolen: u64,
     steal_attempts: u64,
     barrier_idle_ns: u64,
+    /// Main-queue heap splits and segment swap-ins, summed over every
+    /// queue the row's join owned (0 on serve rows).
+    queue_splits: u64,
+    queue_swap_ins: u64,
     buffer_hits: u64,
     buffer_misses: u64,
     /// Shared-buffer evictions this row's inserts caused — the
@@ -968,6 +972,8 @@ fn run_bench_matrix(n: usize, k: usize, seed: u64, cfg: &JoinConfig) -> Vec<Benc
             pairs_stolen: out.stats.pairs_stolen,
             steal_attempts: out.stats.steal_attempts,
             barrier_idle_ns: out.stats.barrier_idle_ns,
+            queue_splits: out.stats.queue_splits,
+            queue_swap_ins: out.stats.queue_swap_ins,
             buffer_hits: out.stats.buffer_hits,
             buffer_misses: out.stats.buffer_misses,
             buffer_evictions: out.stats.buffer_evictions,
@@ -1400,6 +1406,8 @@ fn run_bench_matrix(n: usize, k: usize, seed: u64, cfg: &JoinConfig) -> Vec<Benc
             pairs_stolen: 0,
             steal_attempts: 0,
             barrier_idle_ns: 0,
+            queue_splits: 0,
+            queue_swap_ins: 0,
             buffer_hits: rep.buffer_hits,
             buffer_misses: rep.buffer_misses,
             buffer_evictions: rep.buffer_evictions,
@@ -1498,15 +1506,16 @@ fn bench_rows_json(n: usize, k: usize, seed: u64, rows: &[BenchRow]) -> String {
     // admission_rejections columns; 9 moved the serve section onto the
     // TCP transport (144 queries over 16 concurrent connections,
     // bit-identity re-parsed off the wire) and added the transport /
-    // connections / buffer_evictions / buffer_hit_rate columns.
-    out.push_str("  \"schema_version\": 9,\n");
+    // connections / buffer_evictions / buffer_hit_rate columns; 10 added
+    // the queue_splits / queue_swap_ins main-queue counters.
+    out.push_str("  \"schema_version\": 10,\n");
     out.push_str(&format!(
         "  \"workload\": {{ \"n\": {n}, \"k\": {k}, \"seed\": {seed}, \"r\": \"uniform\", \"s\": \"clustered\" }},\n"
     ));
     out.push_str("  \"runs\": [\n");
     for (i, row) in rows.iter().enumerate() {
         out.push_str(&format!(
-            "    {{ \"op\": \"{}\", \"algo\": \"{}\", \"dataset\": \"{}\", \"query_id\": \"{}\", \"transport\": \"{}\", \"connections\": {}, \"threads\": {}, \"steal\": {}, \"partition\": \"{}\", \"prefilter\": {}, \"k\": {}, \"partitions\": {}, \"wall_time_s\": {:.6}, \"node_accesses\": {}, \"pairs_computed\": {}, \"quantized_rejects\": {}, \"exact_dist_skipped\": {}, \"results\": {}, \"pairs_stolen\": {}, \"steal_attempts\": {}, \"barrier_idle_ns\": {}, \"buffer_hits\": {}, \"buffer_misses\": {}, \"buffer_evictions\": {}, \"buffer_hit_rate\": {:.6}, \"queue_wait_ns\": {}, \"admission_rejections\": {}, \"checkpoints_written\": {}, \"partition_pairs_total\": {}, \"partition_pairs_pruned\": {}, \"partition_pairs_replayed\": {}, \"partition_pairs_never_needed\": {}, \"buffer_hits_by_worker\": {}, \"buffer_misses_by_worker\": {} }}{}\n",
+            "    {{ \"op\": \"{}\", \"algo\": \"{}\", \"dataset\": \"{}\", \"query_id\": \"{}\", \"transport\": \"{}\", \"connections\": {}, \"threads\": {}, \"steal\": {}, \"partition\": \"{}\", \"prefilter\": {}, \"k\": {}, \"partitions\": {}, \"wall_time_s\": {:.6}, \"node_accesses\": {}, \"pairs_computed\": {}, \"quantized_rejects\": {}, \"exact_dist_skipped\": {}, \"results\": {}, \"pairs_stolen\": {}, \"steal_attempts\": {}, \"barrier_idle_ns\": {}, \"queue_splits\": {}, \"queue_swap_ins\": {}, \"buffer_hits\": {}, \"buffer_misses\": {}, \"buffer_evictions\": {}, \"buffer_hit_rate\": {:.6}, \"queue_wait_ns\": {}, \"admission_rejections\": {}, \"checkpoints_written\": {}, \"partition_pairs_total\": {}, \"partition_pairs_pruned\": {}, \"partition_pairs_replayed\": {}, \"partition_pairs_never_needed\": {}, \"buffer_hits_by_worker\": {}, \"buffer_misses_by_worker\": {} }}{}\n",
             row.op,
             row.algo,
             row.dataset,
@@ -1528,6 +1537,8 @@ fn bench_rows_json(n: usize, k: usize, seed: u64, rows: &[BenchRow]) -> String {
             row.pairs_stolen,
             row.steal_attempts,
             row.barrier_idle_ns,
+            row.queue_splits,
+            row.queue_swap_ins,
             row.buffer_hits,
             row.buffer_misses,
             row.buffer_evictions,

@@ -510,18 +510,15 @@ impl<'a, const D: usize> StageDriver<'a, D> {
     /// served cursor) measures them around each advance instead.
     pub(crate) fn work_stats(&self) -> JoinStats {
         let mut st = self.counters;
-        st.mainq_insertions = self.mainq.insertions();
+        let queue_io = self.mainq.account(&mut st);
         let (ra, sa) = (self.r.access_stats(), self.s.access_stats());
         st.node_requests =
             (ra.requests - self.r_acc0.requests) + (sa.requests - self.s_acc0.requests);
         st.node_disk_reads =
             (ra.disk_reads - self.r_acc0.disk_reads) + (sa.disk_reads - self.s_acc0.disk_reads);
-        let qd = self.mainq.disk_stats();
-        st.queue_page_reads = qd.pages_read;
-        st.queue_page_writes = qd.pages_written;
         st.io_seconds = (self.r.disk_stats().io_seconds - self.r_io0)
             + (self.s.disk_stats().io_seconds - self.s_io0)
-            + qd.io_seconds;
+            + queue_io;
         st
     }
 }

@@ -191,19 +191,16 @@ impl<'a, const D: usize> HsIdj<'a, D> {
     /// [`next`](HsIdj::next) calls).
     pub fn stats(&self) -> JoinStats {
         let mut st = self.counters;
-        st.mainq_insertions = self.mainq.insertions();
+        let queue_io = self.mainq.account(&mut st);
         st.distq_insertions = self.distq.as_ref().map_or(0, DistanceQueue::insertions);
         let (ra, sa) = (self.r.access_stats(), self.s.access_stats());
         st.node_requests =
             (ra.requests - self.r_acc0.requests) + (sa.requests - self.s_acc0.requests);
         st.node_disk_reads =
             (ra.disk_reads - self.r_acc0.disk_reads) + (sa.disk_reads - self.s_acc0.disk_reads);
-        let qd = self.mainq.disk_stats();
-        st.queue_page_reads = qd.pages_read;
-        st.queue_page_writes = qd.pages_written;
         st.io_seconds = (self.r.disk_stats().io_seconds - self.r_io0)
             + (self.s.disk_stats().io_seconds - self.s_io0)
-            + qd.io_seconds;
+            + queue_io;
         // Single-threaded cursor: every fetch since construction happened
         // on this thread.
         let (h, m, e) = amdj_rtree::thread_buffer_stats();

@@ -1,4 +1,4 @@
-use amdj_storage::{DiskStats, SpillQueue, SpillQueueConfig};
+use amdj_storage::{SpillQueue, SpillQueueConfig};
 
 use crate::{Estimator, JoinConfig, JoinStats, Pair};
 
@@ -10,7 +10,6 @@ const BOUNDARY_COUNT: usize = 64;
 /// §4.4 segment boundaries from the estimator.
 pub(crate) struct MainQueue<const D: usize> {
     q: SpillQueue<Pair<D>>,
-    insertions: u64,
 }
 
 impl<const D: usize> MainQueue<D> {
@@ -31,18 +30,11 @@ impl<const D: usize> MainQueue<D> {
             boundaries,
             cost: cfg.queue_cost,
         });
-        MainQueue { q, insertions: 0 }
+        MainQueue { q }
     }
 
     pub(crate) fn push(&mut self, pair: Pair<D>) {
-        self.insertions += 1;
         self.q.push(pair);
-    }
-
-    /// Total [`push`](MainQueue::push) calls (excluding
-    /// [`unpop`](MainQueue::unpop) re-insertions).
-    pub(crate) fn insertions(&self) -> u64 {
-        self.insertions
     }
 
     /// Re-inserts a pair without counting it as new work (used when a
@@ -69,14 +61,13 @@ impl<const D: usize> MainQueue<D> {
         self.q.len()
     }
 
-    pub(crate) fn disk_stats(&self) -> DiskStats {
-        self.q.disk_stats()
-    }
-
-    /// Folds the queue's insertion count and disk traffic into `stats`
-    /// and returns its modeled I/O seconds.
+    /// Folds the queue's insertion count, split/swap-in counts and disk
+    /// traffic into `stats` and returns its modeled I/O seconds.
     pub(crate) fn account(&self, stats: &mut JoinStats) -> f64 {
-        stats.mainq_insertions += self.insertions;
+        let q = self.q.stats();
+        stats.mainq_insertions += q.insertions;
+        stats.queue_splits += q.splits;
+        stats.queue_swap_ins += q.swap_ins;
         let d = self.q.disk_stats();
         stats.queue_page_reads += d.pages_read;
         stats.queue_page_writes += d.pages_written;
@@ -109,11 +100,10 @@ mod tests {
         let head = q.pop().unwrap();
         assert_eq!(head.dist, 1.0);
         q.unpop(head);
-        assert_eq!(q.insertions(), 2);
         assert_eq!(q.len(), 2);
-        // The underlying spill queue's own counters must agree: a parked
-        // head is not a new insertion there either.
-        assert_eq!(q.q.stats().insertions, 2);
+        let mut stats = JoinStats::default();
+        q.account(&mut stats);
+        assert_eq!(stats.mainq_insertions, 2);
         assert_eq!(q.q.stats().max_len, 2);
     }
 
@@ -132,7 +122,10 @@ mod tests {
             last = p.dist;
         }
         let io = q.account(&mut stats);
-        assert_eq!(stats.queue_page_reads, q.disk_stats().pages_read);
+        assert_eq!(stats.queue_page_reads, q.q.disk_stats().pages_read);
+        assert_eq!(stats.queue_splits, q.q.stats().splits);
+        assert_eq!(stats.queue_swap_ins, q.q.stats().swap_ins);
+        assert!(stats.queue_splits > 0, "a 2 KB queue must split");
         assert_eq!(stats.mainq_insertions, 500);
         assert!(io >= 0.0);
     }

@@ -120,6 +120,12 @@ pub struct JoinStats {
     pub queue_page_reads: u64,
     /// Pages written by queue/sort spill traffic.
     pub queue_page_writes: u64,
+    /// Main-queue heap splits (heap overflow → new disk segment). Each
+    /// split keeps at most half the heap resident, so per queue this stays
+    /// within `2·(inserts + reinserts)/capacity + swap-ins + 1`.
+    pub queue_splits: u64,
+    /// Main-queue segment swap-ins (empty heap → segment loaded).
+    pub queue_swap_ins: u64,
     /// Results produced.
     pub results: u64,
     /// Number of processing stages executed (1 for single-stage
@@ -193,6 +199,8 @@ impl JoinStats {
         self.partition_pairs_never_needed += w.partition_pairs_never_needed;
         self.queue_page_reads += w.queue_page_reads;
         self.queue_page_writes += w.queue_page_writes;
+        self.queue_splits += w.queue_splits;
+        self.queue_swap_ins += w.queue_swap_ins;
         self.buffer_hits += w.buffer_hits;
         self.buffer_misses += w.buffer_misses;
         self.buffer_evictions += w.buffer_evictions;

@@ -11,8 +11,10 @@
 //!
 //! Split boundaries prefer the caller-provided candidate boundaries — the
 //! paper derives them from Equation (3) as `b_i = sqrt(i · n · ρ)` for heap
-//! capacity `n` — and fall back to the median key, so the queue behaves
-//! sensibly even when the uniformity assumption behind Equation (3) fails.
+//! capacity `n` — at or below the median key, and fall back to the median,
+//! so the queue behaves sensibly even when the uniformity assumption behind
+//! Equation (3) fails. Every split leaves at most half the heap resident,
+//! even when most keys tie at the minimum, so splits stay amortised.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
@@ -144,8 +146,9 @@ pub struct SpillQueueConfig {
     /// Byte budget of the in-memory heap (the paper's "in-memory portion of
     /// a main queue", 64 KB – 1024 KB in the experiments).
     pub mem_budget: usize,
-    /// Ascending candidate split boundaries (distances), typically from
-    /// Equation (3). May be empty; the queue then always splits at the
+    /// Candidate split boundaries (distances), typically from Equation
+    /// (3). A split uses the largest one in `(min, median]` of the heap's
+    /// keys; when none qualifies (or the list is empty) it splits at the
     /// median.
     pub boundaries: Vec<f64>,
     /// I/O cost model for the queue's backing disk.
@@ -484,37 +487,43 @@ impl<T: SpillItem> SpillQueue<T> {
         seg.bytes += encoded as u64;
     }
 
-    /// Chooses a split boundary for the current heap contents: the
-    /// configured (Equation 3) boundary closest to the median key if one
-    /// separates the contents, otherwise the median key itself.
-    fn choose_boundary(entries: &mut [HeapEntry<T>], configured: &[f64], upper: f64) -> f64 {
-        let mid = entries.len() / 2;
-        let (_, median, _) = entries.select_nth_unstable_by(mid, |a, b| a.key.total_cmp(&b.key));
-        let median = median.key;
-        let min = entries.iter().map(|e| e.key).fold(f64::INFINITY, f64::min);
-        let max = entries
-            .iter()
-            .map(|e| e.key)
-            .fold(f64::NEG_INFINITY, f64::max);
-        let candidate = configured
-            .iter()
-            .copied()
-            .filter(|&b| b > min && b <= max && b < upper)
-            .min_by(|a, b| (a - median).abs().total_cmp(&(b - median).abs()));
-        match candidate {
-            Some(b) => b,
-            None if median > min => median,
-            // Degenerate distribution (median == min): split just above min
-            // so at least the min-key items stay in memory.
-            None => max,
-        }
-    }
-
+    /// Splits the overflowing heap so that at most half of its entries
+    /// stay resident, whatever the tie structure of the keys: a split then
+    /// needs at least half a heap of fresh pushes (or a swap-in) before the
+    /// next one, so a queue's splits stay within
+    /// `2·(inserts + reinserts)/capacity + swap-ins + 1`.
+    ///
+    /// With `keep = len / 2` and `median` the key of rank `keep` in
+    /// `(key, seq)` order:
+    /// - `median > min`: split at the configured (Equation 3) boundary
+    ///   closest to the median within `(min, median]`, else at the median.
+    ///   Only keys below the boundary stay, all of rank `< keep`.
+    /// - `median == min` (the minimum key fills more than half the heap,
+    ///   e.g. TIGER data's zero-distance pairs): the new segment starts at
+    ///   `min` and the heap keeps only the `keep` oldest min-key entries,
+    ///   so everything it holds still pops before the segment.
     fn split(&mut self) {
         self.stats.splits += 1;
-        let mut entries: Vec<HeapEntry<T>> = std::mem::take(&mut self.heap).into_vec();
-        let upper = self.segments.front().map_or(f64::INFINITY, |s| s.lo);
-        let boundary = Self::choose_boundary(&mut entries, &self.config.boundaries, upper);
+        let mut kept: Vec<HeapEntry<T>> = std::mem::take(&mut self.heap).into_vec();
+        let keep = kept.len() / 2;
+        kept.select_nth_unstable_by(keep, |a, b| a.key.total_cmp(&b.key).then(a.seq.cmp(&b.seq)));
+        let median = kept[keep].key;
+        let min = kept[..keep].iter().map(|e| e.key).fold(median, f64::min);
+        let (boundary, mut spill) = if median > min {
+            let boundary = self
+                .config
+                .boundaries
+                .iter()
+                .copied()
+                .filter(|&b| b > min && b <= median)
+                .reduce(f64::max)
+                .unwrap_or(median);
+            let (below, spill) = kept.into_iter().partition(|e| e.key < boundary);
+            kept = below;
+            (boundary, spill)
+        } else {
+            (min, kept.split_off(keep))
+        };
         let page_size = self.disk.page_size();
         // Cap the number of segments (each keeps a one-page write buffer):
         // past the cap, widen the front segment's range downward instead of
@@ -526,26 +535,10 @@ impl<T: SpillItem> SpillQueue<T> {
         } else {
             self.segments.push_front(Segment::new(boundary, page_size));
         }
-
-        let mut kept = Vec::new();
-        let mut spill = Vec::new();
-        for e in entries {
-            if e.key < boundary {
-                kept.push(e);
-            } else {
-                spill.push(e);
-            }
-        }
-        if kept.is_empty() {
-            // Degenerate split: every entry shares one key, so
-            // `boundary == min == max` rejected them all. Keep the *older*
-            // half in memory — the heap must stay non-empty or every
-            // subsequent pop swaps straight back in from disk — and
-            // forcibly spill only the newer half.
-            spill.sort_by_key(|e| e.seq);
-            let keep = spill.len() / 2;
-            kept = spill.drain(..keep.max(1)).collect();
-        }
+        // Append in insertion order: a segment then holds equal keys
+        // oldest first, as do later direct appends and swap-ins, so ties
+        // pop in the order an unbounded queue would pop them.
+        spill.sort_unstable_by_key(|e| e.seq);
         for e in spill {
             self.heap_bytes -= Self::item_cost(&e.item);
             self.append_to_segment(e.item, e.key);
@@ -677,6 +670,7 @@ impl<T: SpillItem> std::fmt::Debug for SpillQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     /// A minimal item: key + payload id.
     #[derive(Clone, Copy, Debug, PartialEq)]
@@ -901,7 +895,7 @@ mod tests {
             q.mem_bytes() > 0,
             "equal-key split must leave the heap non-empty"
         );
-        // The forced-half branch kept floor(6/2) = 3 of the six resident
+        // The tie split kept floor(6/2) = 3 of the six resident
         // entries; everything after the split appends to the segment, so
         // exactly 97 items ever hit disk.
         assert_eq!(q.heap.len(), 3);
@@ -912,6 +906,85 @@ mod tests {
         let keys = pop_keys(&mut q);
         assert_eq!(keys.len(), 100);
         assert!(keys.iter().all(|&k| k == 7.0));
+    }
+
+    /// The amortised split bound every queue must honour: each split
+    /// leaves at most half the heap resident, so the next one needs half a
+    /// heap of fresh pushes — unless a swap-in refilled the heap first.
+    fn split_bound(stats: SpillQueueStats, pushes: u64, capacity: u64) -> u64 {
+        2 * pushes / capacity + stats.swap_ins + 1
+    }
+
+    #[test]
+    fn min_key_ties_keep_splits_amortised() {
+        // Regression: when most of the heap tied at the minimum key (the
+        // zero-distance pairs of overlapping TIGER MBRs), the split used
+        // to spill only the max-key entries, leaving a full heap that the
+        // very next insert below them split again — here 152 splits
+        // against a bound of 18.
+        let capacity = 512u64;
+        let mut cfg = SpillQueueConfig::budgeted(capacity as usize * 40, vec![]);
+        cfg.cost.page_size = 1024;
+        let mut q = SpillQueue::new(cfg);
+        // References: the live multiset (id → key), and an unbounded queue
+        // fed the same operations, whose pop order ties included the
+        // budgeted queue must reproduce.
+        let mut live = BTreeMap::new();
+        let mut unbounded = SpillQueue::new(SpillQueueConfig::unbounded());
+        let (mut pushes, mut floor, mut last, mut rng) = (0u64, 0.0f64, 0.0f64, 7u64);
+        let mut check_pop = |q: &mut SpillQueue<Item>,
+                             unbounded: &mut SpillQueue<Item>,
+                             live: &mut BTreeMap<u64, f64>| {
+            let it = q.pop().expect("reference holds items");
+            assert_eq!(Some(it), unbounded.pop(), "pop order differs");
+            assert!(it.key >= last, "pop {} after {last}", it.key);
+            last = it.key;
+            assert_eq!(live.remove(&it.id), Some(it.key), "popped a non-live item");
+            it
+        };
+        for id in 0..4_000u64 {
+            rng = rng
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let r = rng >> 33;
+            // ~80% of pushes tie with the running minimum; the rest spread
+            // above it. Keys never undercut a popped key, so pops ascend.
+            let key = if r % 5 != 0 {
+                floor
+            } else {
+                floor + (1 + r % 1_000_000) as f64 / 1000.0
+            };
+            q.push(Item { key, id });
+            unbounded.push(Item { key, id });
+            live.insert(id, key);
+            pushes += 1;
+            match (r >> 8) % 20 {
+                0 | 1 => {
+                    floor = check_pop(&mut q, &mut unbounded, &mut live).key;
+                }
+                2 => {
+                    // A parked head: popped, then put straight back.
+                    let it = check_pop(&mut q, &mut unbounded, &mut live);
+                    live.insert(it.id, it.key);
+                    q.reinsert(it);
+                    unbounded.reinsert(it);
+                    pushes += 1;
+                }
+                _ => {}
+            }
+        }
+        let stats = q.stats();
+        let bound = split_bound(stats, pushes, capacity);
+        assert!(
+            stats.splits <= bound,
+            "{} splits exceed the amortised bound {bound} ({stats:?})",
+            stats.splits
+        );
+        assert!(stats.splits > 0, "the budget must force splits");
+        while !live.is_empty() {
+            check_pop(&mut q, &mut unbounded, &mut live);
+        }
+        assert!(q.is_empty(), "queue holds items the reference does not");
     }
 
     #[test]

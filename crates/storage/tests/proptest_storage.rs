@@ -6,6 +6,7 @@
 use amdj_storage::codec::{put_f64, put_u64, CodecError, Reader};
 use amdj_storage::{ByteLru, CostModel, ExternalSorter, SpillItem, SpillQueue, SpillQueueConfig};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 #[derive(Clone, Copy, Debug, PartialEq)]
 struct Item {
@@ -52,6 +53,97 @@ fn dup_ops() -> impl Strategy<Value = Vec<Op>> {
         prop_oneof![3 => (0u16..4).prop_map(Op::Push), 2 => Just(Op::Pop)],
         1..400,
     )
+}
+
+/// Interleavings for the tie-heavy split property: pushes draw from a
+/// few distinct keys, and a reinsert puts the last popped item back (a
+/// parked head).
+#[derive(Clone, Debug)]
+enum TieOp {
+    Push(u8),
+    Pop,
+    Reinsert,
+}
+
+fn tie_ops() -> impl Strategy<Value = Vec<TieOp>> {
+    prop::collection::vec(
+        prop_oneof![
+            6 => (0u8..4).prop_map(TieOp::Push),
+            3 => Just(TieOp::Pop),
+            1 => Just(TieOp::Reinsert),
+        ],
+        1..600,
+    )
+}
+
+/// Pops one item, checking it against the reference multiset `live`
+/// (id → key) and that keys never fall below the `last` popped one.
+fn pop_checked(
+    q: &mut SpillQueue<Item>,
+    live: &mut BTreeMap<u64, f64>,
+    last: &mut f64,
+) -> Result<Option<Item>, TestCaseError> {
+    let Some(it) = q.pop() else {
+        prop_assert!(live.is_empty(), "queue ran dry with {} live", live.len());
+        return Ok(None);
+    };
+    prop_assert!(it.key >= *last, "pop {} after {}", it.key, last);
+    *last = it.key;
+    prop_assert_eq!(live.remove(&it.id), Some(it.key));
+    Ok(Some(it))
+}
+
+/// Runs `ops` with keys drawn from `distinct` values, each push clamped up
+/// to the last popped key so pops must ascend. Checks every pop against a
+/// reference multiset (id → key), the final drain, and the amortised split
+/// bound `2·(pushes + reinserts)/capacity + swap-ins + 1`.
+fn run_tie_heavy(
+    ops: Vec<TieOp>,
+    distinct: u8,
+    mem: usize,
+    page: usize,
+) -> Result<(), TestCaseError> {
+    let cost = CostModel {
+        page_size: page,
+        ..CostModel::free()
+    };
+    let mut q = SpillQueue::new(SpillQueueConfig {
+        mem_budget: mem,
+        boundaries: Vec::new(),
+        cost,
+    });
+    let mut live = BTreeMap::new();
+    let (mut pushes, mut last, mut parked) = (0u64, 0.0f64, None);
+    for (id, op) in ops.into_iter().enumerate() {
+        match op {
+            TieOp::Push(k) => {
+                let key = f64::from(k % distinct).max(last);
+                q.push(Item { key, id: id as u64 });
+                live.insert(id as u64, key);
+                pushes += 1;
+            }
+            TieOp::Pop => parked = pop_checked(&mut q, &mut live, &mut last)?,
+            TieOp::Reinsert => {
+                if let Some(it) = parked.take() {
+                    live.insert(it.id, it.key);
+                    q.reinsert(it);
+                    pushes += 1;
+                }
+            }
+        }
+        assert_budget(&q, mem)?;
+    }
+    let stats = q.stats();
+    let bound = 2 * pushes / (mem / item_cost()) as u64 + stats.swap_ins + 1;
+    prop_assert!(
+        stats.splits <= bound,
+        "{} splits exceed the amortised bound {}",
+        stats.splits,
+        bound
+    );
+    while pop_checked(&mut q, &mut live, &mut last)?.is_some() {}
+    prop_assert!(live.is_empty());
+    Ok(())
 }
 
 /// One `Item` costs this much heap memory inside the queue.
@@ -153,6 +245,19 @@ proptest! {
         // splits and median splits both get exercised.
         let boundaries = if with_bounds { vec![0.5, 1.5, 2.5, 3.5] } else { Vec::new() };
         run_against_reference(ops, mem, page, boundaries)?;
+    }
+
+    /// Keys from two to four distinct values at budgets of one to nine
+    /// items: most splits find the minimum key filling over half the heap,
+    /// and each must still leave at most half of it resident.
+    #[test]
+    fn spill_queue_splits_stay_amortised_under_ties(
+        ops in tie_ops(),
+        distinct in 2u8..5,
+        mem in 40usize..400,
+        page in 64usize..256,
+    ) {
+        run_tie_heavy(ops, distinct, mem, page)?;
     }
 
     #[test]

@@ -2,10 +2,10 @@
 //! memory budget and any R-tree buffer size; only the I/O work may differ
 //! (§4.4, §5.5).
 
-use amdj_core::{am_kdj, b_kdj, bruteforce, AmKdjOptions, JoinConfig};
-use amdj_datagen::tiger::Geography;
+use amdj_core::{am_kdj, b_kdj, bruteforce, par_am_kdj, AmKdjOptions, JoinConfig, Pair};
+use amdj_datagen::tiger::{self, Geography};
 use amdj_rtree::{RTree, RTreeParams};
-use amdj_storage::CostModel;
+use amdj_storage::{CostModel, SpillQueue};
 use amdj_tests::assert_same_distances;
 
 fn trees_with_buffer(
@@ -71,6 +71,50 @@ fn tight_queue_memory_causes_spill_io() {
         "a 16 MB queue must not spill"
     );
     assert!(tight.stats.io_seconds > roomy.stats.io_seconds);
+}
+
+/// Main-queue splits stay amortised on the paper's TIGER-like Arizona
+/// data, where overlapping MBRs put thousands of result pairs at distance
+/// 0: every split keeps at most half the heap resident, so a queue splits
+/// at most `2·(inserts + reinserts)/capacity + swap-ins + 1` times. (The
+/// old rule spilled only the max-key entries of a heap tied at its
+/// minimum; here it split 99 times sequentially and thousands of times
+/// across the two parallel workers.)
+#[test]
+fn arizona_queue_splits_stay_amortised() {
+    let (a, b) = tiger::arizona_workload(0.19, 1);
+    let r = RTree::bulk_load(RTreeParams::paper_defaults(), a);
+    let s = RTree::bulk_load(RTreeParams::paper_defaults(), b);
+    let cfg = JoinConfig::default();
+    let capacity =
+        (cfg.queue_mem_bytes / SpillQueue::<Pair<2>>::per_item_cost(Pair::<2>::ENCODED_LEN)) as u64;
+    let k = 10_000;
+    let opts = AmKdjOptions::default();
+
+    // One queue; its only re-insertion is the head parked when stage one
+    // ends.
+    let seq = am_kdj(&r, &s, k, &cfg, &opts);
+    let st = &seq.stats;
+    let bound = 2 * (st.mainq_insertions + 1) / capacity + st.queue_swap_ins + 1;
+    assert!(
+        st.queue_splits <= bound,
+        "am_kdj: {} splits exceed the amortised bound {bound}",
+        st.queue_splits
+    );
+
+    // Two workers own at most four queues (one per stage each), and their
+    // re-insertions are at most twice the insertions: a stage-two seed
+    // re-enters a pair some stage-one queue counted, and each parked head
+    // ends a claim round that pushed at least one counted seed.
+    let par = par_am_kdj(&r, &s, k, &cfg, &opts, 2);
+    let st = &par.stats;
+    let bound = 2 * (3 * st.mainq_insertions) / capacity + st.queue_swap_ins + 4;
+    assert!(
+        st.queue_splits <= bound,
+        "par_am_kdj: {} splits exceed the amortised bound {bound}",
+        st.queue_splits
+    );
+    assert_same_distances(&par.results, &seq.results, "par_am_kdj vs am_kdj");
 }
 
 #[test]

@@ -12,7 +12,9 @@
 //! I/O times, `node_disk_reads` (buffer state carries across the runs),
 //! and — for the incremental join only — `distq_insertions` (the parallel
 //! cursor owns a merge-side distance queue the sequential cursor does not
-//! have).
+//! have). The queue counters (`queue_splits`, `queue_swap_ins`) are in
+//! the set; they are zero on the unbounded runs and compared for real by
+//! the budgeted-queue test.
 //!
 //! The one-thread parity tests run against the *work-stealing* path
 //! ([`JoinConfig::steal`] defaults on), so they also pin its claim
@@ -80,6 +82,11 @@ fn assert_parity(label: &str, seq: &JoinStats, par: &JoinStats, with_distq: bool
         seq.node_requests, par.node_requests,
         "{label}: node_requests"
     );
+    assert_eq!(seq.queue_splits, par.queue_splits, "{label}: queue_splits");
+    assert_eq!(
+        seq.queue_swap_ins, par.queue_swap_ins,
+        "{label}: queue_swap_ins"
+    );
 }
 
 #[test]
@@ -124,6 +131,35 @@ fn aggressive_policy_one_thread_equals_sequential() {
         assert_parity(&format!("am_kdj {name}"), &seq.stats, &par.stats, true);
         assert_eq!(par.stats.pairs_stolen, 0, "{name}: pairs_stolen");
     }
+}
+
+#[test]
+fn budgeted_queue_one_thread_equals_sequential() {
+    // A main queue of a few dozen pairs splits and swaps segments in over
+    // and over; one worker's queue must split and swap in exactly as often
+    // as the sequential join's. AM-KDJ is left out here: its parallel
+    // backend drains the stage-one queue and re-seeds a second one for
+    // stage two, so under a budget its queue counters legitimately differ
+    // from the sequential join's single queue (its work counters do not —
+    // see the unbounded tests above).
+    let a = scatter(12, 1.618, 2.414, 0.1);
+    let b = scatter(12, 1.732, 2.236, 0.73);
+    let (r, s) = trees(&a, &b);
+    let cfg = JoinConfig::with_queue_memory(4 * 1024);
+    let k = 80;
+    let seq = b_kdj(&r, &s, k, &cfg);
+    let par = par_b_kdj(&r, &s, k, &cfg, 1);
+    assert!(seq.stats.queue_splits > 0, "a 4 KB queue must split");
+    assert_eq!(seq.results, par.results, "budgeted b_kdj: results");
+    assert_parity("budgeted b_kdj", &seq.stats, &par.stats, true);
+    let opts = AmIdjOptions::default();
+    let mut cursor = AmIdj::new(&r, &s, &cfg, opts.clone());
+    let seq_results: Vec<_> = (0..200).map_while(|_| cursor.next()).collect();
+    let seq = cursor.stats();
+    let par = par_am_idj(&r, &s, 200, &cfg, &opts, 1);
+    assert!(seq.queue_splits > 0, "a 4 KB cursor queue must split");
+    assert_eq!(seq_results, par.results, "budgeted am_idj: results");
+    assert_parity("budgeted am_idj", &seq, &par.stats, false);
 }
 
 #[test]
