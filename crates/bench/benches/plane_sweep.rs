@@ -2,11 +2,15 @@
 //! direction selection on vs off (the timing view of Figure 11), plus the
 //! leaf-kernel ladder — per-pair scalar sweep, explicit lane kernel, lane
 //! kernel with the quantized integer prefilter — on leaf-heavy workloads,
-//! with the prefilter's measured rejection rate printed alongside.
+//! with the prefilter's measured rejection rate printed alongside; and
+//! the step before every sweep, preparing a leaf pair's entry lists.
 
 use amdj_bench::{build_trees, Workload};
 use amdj_core::{am_kdj, b_kdj, within_join, AmKdjOptions, JoinConfig};
 use amdj_datagen::tiger;
+use amdj_geom::{sweep_key, Rect, SweepDirection};
+use amdj_rtree::{Node, RTree};
+use amdj_storage::PageId;
 use criterion::{criterion_group, criterion_main, Criterion};
 
 fn workload() -> Workload {
@@ -105,5 +109,77 @@ fn bench_leaf_kernel(c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, bench_sweep_optimizations, bench_leaf_kernel);
+/// Every leaf page of `tree`.
+fn leaf_pages(tree: &RTree<2>) -> Vec<PageId> {
+    let mut leaves = Vec::new();
+    let mut stack: Vec<PageId> = tree.root_page().into_iter().collect();
+    while let Some(pid) = stack.pop() {
+        let node = tree.fetch(pid);
+        if node.is_leaf() {
+            leaves.push(pid);
+        } else {
+            stack.extend(node.entries.iter().map(|e| PageId(e.child)));
+        }
+    }
+    leaves
+}
+
+/// Gathers `node`'s entries in `order`, keyed for the sweep — what the
+/// engine's expansion does with each side before sweeping.
+fn gather(buf: &mut Vec<(Rect<2>, u64, f64)>, node: &Node<2>, order: &[u16], dir: SweepDirection) {
+    buf.clear();
+    buf.extend(order.iter().map(|&i| {
+        let e = &node.entries[usize::from(i)];
+        (e.mbr, e.child, sweep_key(&e.mbr, 0, dir))
+    }));
+}
+
+/// Preparing leaf pairs for sweeping: fetch both leaves through the
+/// warm buffer, look up their sweep orders, gather the entries. `cached`
+/// is the engine's path (each page's order sorted once per tree);
+/// `sorted` sorts every node on every fill, the cost the order table
+/// removes.
+fn bench_leaf_prepare(c: &mut Criterion) {
+    let w = workload();
+    let (r, s) = build_trees(&w, 64 * 1024 * 1024);
+    let pairs: Vec<(PageId, PageId)> = leaf_pages(&r)
+        .into_iter()
+        .zip(leaf_pages(&s).into_iter().cycle())
+        .collect();
+    let dirs = [SweepDirection::Forward, SweepDirection::Backward];
+    let mut left = Vec::new();
+    let mut right = Vec::new();
+    let mut g = c.benchmark_group("plane_sweep/prepare_leaf_pair");
+    g.sample_size(20);
+    g.bench_function("cached", |b| {
+        b.iter(|| {
+            for (i, &(pr, ps)) in pairs.iter().enumerate() {
+                let dir = dirs[i % 2];
+                let (nr, ns) = (r.fetch(pr), s.fetch(ps));
+                gather(&mut left, &nr, r.sweep_order(pr, &nr, 0, dir), dir);
+                gather(&mut right, &ns, s.sweep_order(ps, &ns, 0, dir), dir);
+            }
+            left.len() + right.len()
+        });
+    });
+    g.bench_function("sorted", |b| {
+        b.iter(|| {
+            for (i, &(pr, ps)) in pairs.iter().enumerate() {
+                let dir = dirs[i % 2];
+                let (nr, ns) = (r.fetch(pr), s.fetch(ps));
+                gather(&mut left, &nr, &nr.sweep_order(0, dir), dir);
+                gather(&mut right, &ns, &ns.sweep_order(0, dir), dir);
+            }
+            left.len() + right.len()
+        });
+    });
+    g.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_sweep_optimizations,
+    bench_leaf_kernel,
+    bench_leaf_prepare
+);
 criterion_main!(benches);

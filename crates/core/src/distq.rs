@@ -34,12 +34,7 @@ impl DistanceQueue {
             return;
         }
         self.insertions += 1;
-        if self.heap.len() < self.k {
-            self.heap.push(TotalF64::new(dist));
-        } else if dist < self.qdmax() {
-            self.heap.pop();
-            self.heap.push(TotalF64::new(dist));
-        }
+        self.offer(dist);
     }
 
     /// Offers a candidate distance without counting it as new work: used
@@ -49,11 +44,19 @@ impl DistanceQueue {
         if self.k == 0 {
             return;
         }
+        self.offer(dist);
+    }
+
+    /// Keeps `dist` if it is among the `k` smallest. A full queue
+    /// replaces its top in place (one sift-down) instead of popping and
+    /// pushing.
+    fn offer(&mut self, dist: f64) {
         if self.heap.len() < self.k {
             self.heap.push(TotalF64::new(dist));
-        } else if dist < self.qdmax() {
-            self.heap.pop();
-            self.heap.push(TotalF64::new(dist));
+        } else if let Some(mut top) = self.heap.peek_mut() {
+            if dist < top.get() {
+                *top = TotalF64::new(dist);
+            }
         }
     }
 

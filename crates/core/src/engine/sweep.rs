@@ -19,18 +19,27 @@
 //! staging area all live in the scratch and are `clear()`ed between
 //! expansions. In the steady state (capacities warmed up to the tree
 //! fanout) an expansion performs **zero** heap allocations. The only
-//! allocating operation is [`SweepScratch::park`], which surrenders the
-//! current buffers to a long-lived [`CompEntry`] — the parked pair
-//! legitimately owns its data — leaving fresh (empty, unallocated) vectors
-//! behind. Sorting uses `sort_unstable_by` over [`f64::total_cmp`] (with
-//! the child id as tiebreaker for determinism), which neither panics on
-//! NaN nor allocates a merge buffer.
+//! allocating operation is [`SweepScratch::park`], which copies the
+//! current lists and marks into exact-size vectors owned by a long-lived
+//! [`CompEntry`] — at most one allocation per non-empty list or mark
+//! vector — and leaves the scratch's own buffers, with their warmed
+//! capacity, in place for the next expansion.
+//!
+//! # Sweep orders
+//!
+//! A node's children are not sorted per expansion. Each tree caches, per
+//! page, the index permutation for each (axis, direction) it has been
+//! swept along ([`RTree::sweep_order`]: [`f64::total_cmp`] on the
+//! direction-folded key, child id as tiebreaker); filling a list is a
+//! gather in that order. The node itself still comes through
+//! [`RTree::fetch`], so node-access and buffer counters see exactly the
+//! accesses they saw when every expansion sorted.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use amdj_geom::sweep_index::{choose_sweep_axis, choose_sweep_direction, SweepDirection};
-use amdj_geom::Rect;
+use amdj_geom::{sweep_key, Rect};
 use amdj_rtree::{Node, RTree};
 use amdj_storage::PageId;
 
@@ -96,23 +105,48 @@ pub(crate) fn choose_setup<const D: usize>(
 }
 
 fn sort_key<const D: usize>(mbr: &Rect<D>, setup: SweepSetup) -> f64 {
-    match setup.dir {
-        SweepDirection::Forward => mbr.lo()[setup.axis],
-        SweepDirection::Backward => -mbr.hi()[setup.axis],
-    }
+    sweep_key(mbr, setup.axis, setup.dir)
 }
 
-/// Fills `buf` with a node's children keyed for sweeping, sorted without
-/// allocating. Equal keys are ordered by child id so the sweep order — and
-/// therefore every downstream tie order — is deterministic.
-fn fill_from_node<const D: usize>(buf: &mut Vec<SweepEntry<D>>, node: &Node<D>, setup: SweepSetup) {
+/// Fills `buf` with a node's children keyed for sweeping, gathered in
+/// `order`, a sweep order of the node for `setup`. Equal keys are ordered
+/// by child id, so the sweep order — and therefore every downstream tie
+/// order — is deterministic.
+fn gather<const D: usize>(
+    buf: &mut Vec<SweepEntry<D>>,
+    node: &Node<D>,
+    order: &[u16],
+    setup: SweepSetup,
+) {
     buf.clear();
-    buf.extend(node.entries.iter().map(|e| SweepEntry {
-        mbr: e.mbr,
-        child: e.child,
-        key: sort_key(&e.mbr, setup),
+    buf.extend(order.iter().map(|&i| {
+        let e = &node.entries[usize::from(i)];
+        SweepEntry {
+            mbr: e.mbr,
+            child: e.child,
+            key: sort_key(&e.mbr, setup),
+        }
     }));
-    buf.sort_unstable_by(|a, b| a.key.total_cmp(&b.key).then_with(|| a.child.cmp(&b.child)));
+}
+
+/// Fills `buf` with the children of `node`, the node fetched from `page`
+/// of `tree`, in the page's cached sweep order for `setup` (see
+/// [`RTree::sweep_order`]). Returns whether the children are objects and
+/// their level.
+fn fill_from_node<const D: usize>(
+    buf: &mut Vec<SweepEntry<D>>,
+    tree: &RTree<D>,
+    page: PageId,
+    node: &Node<D>,
+    setup: SweepSetup,
+) -> (bool, u32) {
+    gather(
+        buf,
+        node,
+        tree.sweep_order(page, node, setup.axis, setup.dir),
+        setup,
+    );
+    (node.is_leaf(), node.level.saturating_sub(1))
 }
 
 impl<const D: usize> SweepList<D> {
@@ -121,7 +155,12 @@ impl<const D: usize> SweepList<D> {
     #[cfg(test)]
     pub(crate) fn from_node(node: &Node<D>, setup: SweepSetup) -> Self {
         let mut entries = Vec::new();
-        fill_from_node(&mut entries, node, setup);
+        gather(
+            &mut entries,
+            node,
+            &node.sweep_order(setup.axis, setup.dir),
+            setup,
+        );
         SweepList {
             entries,
             objects: node.is_leaf(),
@@ -311,10 +350,9 @@ impl<const D: usize> SweepScratch<D> {
         self.prefilter_enabled = cfg.quantized_prefilter;
         match pair.a {
             ItemRef::Node { page, .. } => {
-                let node = r.fetch(PageId(page));
-                fill_from_node(&mut self.left, &node, setup);
-                self.left_objects = node.is_leaf();
-                self.left_child_level = node.level.saturating_sub(1);
+                let page = PageId(page);
+                (self.left_objects, self.left_child_level) =
+                    fill_from_node(&mut self.left, r, page, &r.fetch(page), setup);
             }
             ItemRef::Object { oid } => {
                 self.left.clear();
@@ -329,10 +367,9 @@ impl<const D: usize> SweepScratch<D> {
         }
         match pair.b {
             ItemRef::Node { page, .. } => {
-                let node = s.fetch(PageId(page));
-                fill_from_node(&mut self.right, &node, setup);
-                self.right_objects = node.is_leaf();
-                self.right_child_level = node.level.saturating_sub(1);
+                let page = PageId(page);
+                (self.right_objects, self.right_child_level) =
+                    fill_from_node(&mut self.right, s, page, &s.fetch(page), setup);
             }
             ItemRef::Object { oid } => {
                 self.right.clear();
@@ -348,23 +385,22 @@ impl<const D: usize> SweepScratch<D> {
     }
 
     /// Prepares two level-matched nodes directly (SJ-SORT's sync
-    /// traversal, which never carries `Pair`s).
+    /// traversal, which never carries `Pair`s). Each side is a tree, a
+    /// page, and the node already fetched from that page.
     pub(crate) fn expand_nodes(
         &mut self,
-        nr: &Node<D>,
-        ns: &Node<D>,
+        (r, pr, nr): (&RTree<D>, PageId, &Node<D>),
+        (s, ps, ns): (&RTree<D>, PageId, &Node<D>),
         setup: SweepSetup,
         cfg: &JoinConfig,
     ) {
         self.axis = setup.axis;
         self.batch_enabled = cfg.batched_leaf_sweep;
         self.prefilter_enabled = cfg.quantized_prefilter;
-        fill_from_node(&mut self.left, nr, setup);
-        self.left_objects = nr.is_leaf();
-        self.left_child_level = nr.level.saturating_sub(1);
-        fill_from_node(&mut self.right, ns, setup);
-        self.right_objects = ns.is_leaf();
-        self.right_child_level = ns.level.saturating_sub(1);
+        (self.left_objects, self.left_child_level) =
+            fill_from_node(&mut self.left, r, pr, nr, setup);
+        (self.right_objects, self.right_child_level) =
+            fill_from_node(&mut self.right, s, ps, ns, setup);
     }
 
     /// Sweeps the prepared lists. With a recording [`MarkMode`] the
@@ -426,24 +462,26 @@ impl<const D: usize> SweepScratch<D> {
         self.marks.exhausted(self.left.len(), self.right.len())
     }
 
-    /// Surrenders the current expansion to a long-lived [`CompEntry`].
-    /// The scratch is left with fresh (empty) buffers; this is the one
-    /// deliberately allocating hand-off in the sweep path.
-    pub(crate) fn park(&mut self, key: f64) -> CompEntry<D> {
+    /// Copies the current expansion into a long-lived [`CompEntry`]:
+    /// exact-size copies of both lists and of the marks, at most one
+    /// allocation per non-empty vector. The scratch keeps its buffers and
+    /// their capacity; this is the one deliberately allocating hand-off
+    /// in the sweep path.
+    pub(crate) fn park(&self, key: f64) -> CompEntry<D> {
         CompEntry {
             key,
             axis: self.axis,
             left: SweepList {
-                entries: std::mem::take(&mut self.left),
+                entries: self.left.to_vec(),
                 objects: self.left_objects,
                 child_level: self.left_child_level,
             },
             right: SweepList {
-                entries: std::mem::take(&mut self.right),
+                entries: self.right.to_vec(),
                 objects: self.right_objects,
                 child_level: self.right_child_level,
             },
-            marks: std::mem::take(&mut self.marks),
+            marks: self.marks.clone(),
         }
     }
 
@@ -1214,12 +1252,30 @@ mod tests {
     #[test]
     fn scratch_reuses_buffers_and_parks_cleanly() {
         // Two expansions through the same scratch; the second must see
-        // fresh state. Parking hands the lists off and resets the scratch.
-        let a = leaf(&[(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)], 0);
-        let b = leaf(&[(0.4, 0.0), (1.4, 0.0)], 100);
+        // fresh state. Parking copies the lists out at exact size and
+        // leaves the scratch's warmed buffers in place.
+        let single_leaf = |points: &[(f64, f64)], base_id: u64| {
+            let items = leaf(points, base_id)
+                .entries
+                .iter()
+                .map(|e| (e.mbr, e.child))
+                .collect();
+            let tree = RTree::bulk_load(amdj_rtree::RTreeParams::for_tests(), items);
+            let root = tree.root_page().expect("non-empty");
+            let node = tree.fetch(root);
+            assert!(node.is_leaf(), "fits one page");
+            (tree, root, node)
+        };
+        let (ta, pa, a) = single_leaf(&[(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)], 0);
+        let (tb, pb, b) = single_leaf(&[(0.4, 0.0), (1.4, 0.0)], 100);
         let mut scratch: SweepScratch<2> = SweepScratch::new();
         let mut stats = JoinStats::default();
-        scratch.expand_nodes(&a, &b, setup_fwd(), &JoinConfig::unbounded());
+        scratch.expand_nodes(
+            (&ta, pa, &a),
+            (&tb, pb, &b),
+            setup_fwd(),
+            &JoinConfig::unbounded(),
+        );
         let mut sink = Collect {
             axis: 0.5,
             real: f64::INFINITY,
@@ -1228,12 +1284,28 @@ mod tests {
         scratch.sweep(&mut sink, &mut stats, MarkMode::Full);
         assert!(!scratch.marks_exhausted(), "0.5 axis cutoff must truncate");
         let entry = scratch.park(1.0);
-        assert_eq!(entry.left.entries.len(), 3);
-        assert_eq!(entry.right.entries.len(), 2);
-        assert!(scratch.left.is_empty() && scratch.right.is_empty());
+        assert_eq!(entry.left.entries, scratch.left);
+        assert_eq!(entry.right.entries, scratch.right);
+        assert_eq!(entry.marks, scratch.marks);
+        assert_eq!(
+            (
+                entry.left.entries.capacity(),
+                entry.right.entries.capacity()
+            ),
+            (3, 2),
+            "parked lists are exact-size copies"
+        );
+        let warmed = scratch.left.as_ptr();
 
-        // Scratch is immediately reusable for an unrelated expansion.
-        scratch.expand_nodes(&b, &a, setup_fwd(), &JoinConfig::unbounded());
+        // Scratch is immediately reusable for an unrelated expansion, in
+        // the buffers it already had.
+        scratch.expand_nodes(
+            (&tb, pb, &b),
+            (&ta, pa, &a),
+            setup_fwd(),
+            &JoinConfig::unbounded(),
+        );
+        assert_eq!(scratch.left.as_ptr(), warmed, "no regrowth after park");
         let mut sink2 = Collect {
             axis: f64::INFINITY,
             real: f64::INFINITY,

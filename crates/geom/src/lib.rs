@@ -27,5 +27,7 @@ mod total;
 
 pub use point::Point;
 pub use rect::Rect;
-pub use sweep_index::{choose_sweep_axis, choose_sweep_direction, sweeping_index, SweepDirection};
+pub use sweep_index::{
+    choose_sweep_axis, choose_sweep_direction, sweep_key, sweeping_index, SweepDirection,
+};
 pub use total::TotalF64;

@@ -32,6 +32,17 @@ pub enum SweepDirection {
     Backward,
 }
 
+/// The key a plane sweep orders `mbr` by along `axis`: the lower bound
+/// when sweeping forward, the negated upper bound when sweeping backward,
+/// so both directions scan in increasing key order.
+#[inline]
+pub fn sweep_key<const D: usize>(mbr: &Rect<D>, axis: usize, dir: SweepDirection) -> f64 {
+    match dir {
+        SweepDirection::Forward => mbr.lo()[axis],
+        SweepDirection::Backward => -mbr.hi()[axis],
+    }
+}
+
 /// Exact value of `∫ overlap([u, u+w], [s0, s1]) du` for `u ∈ [r0, r1]`.
 ///
 /// The integrand `f(u) = max(0, min(u+w, s1) - max(u, s0))` is piecewise

@@ -2,8 +2,10 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use amdj_geom::SweepDirection;
 use amdj_storage::{CostModel, PageId, ShardedLru, VirtualDisk};
 
+use crate::order::SweepOrders;
 use crate::{AccessStats, Node};
 
 thread_local! {
@@ -53,10 +55,17 @@ pub fn thread_buffer_stats() -> (u64, u64, u64) {
 /// Decoded nodes are cached as `Arc<Node<D>>`, so a buffer hit is one
 /// lock acquisition and one refcount bump; no page is ever decoded twice
 /// while it stays resident.
+///
+/// Next to the buffer sits the page's sweep-order table
+/// ([`sweep_order`](BufferManager::sweep_order)). It is CPU-side
+/// metadata outside the byte budget: it never supplies node content, so
+/// every node access still goes through [`fetch`](BufferManager::fetch)
+/// and is counted there.
 #[derive(Debug)]
 pub struct BufferManager<const D: usize> {
     disk: VirtualDisk,
     cache: ShardedLru<PageId, Arc<Node<D>>>,
+    orders: SweepOrders<D>,
     page_size: usize,
     requests: AtomicU64,
     disk_reads: AtomicU64,
@@ -71,6 +80,7 @@ impl<const D: usize> BufferManager<D> {
         BufferManager {
             disk: VirtualDisk::new(cost),
             cache: ShardedLru::new(buffer_bytes, shards),
+            orders: SweepOrders::default(),
             page_size,
             requests: AtomicU64::new(0),
             disk_reads: AtomicU64::new(0),
@@ -99,9 +109,32 @@ impl<const D: usize> BufferManager<D> {
         node
     }
 
+    /// The order in which a plane sweep along `axis` in direction `dir`
+    /// visits `node`'s entries (see [`Node::sweep_order`]), sorted once
+    /// per page and cached until the page is next written or freed.
+    /// `node` must be the current content of `pid`, as returned by
+    /// [`fetch`](BufferManager::fetch). Takes no lock once built, and
+    /// counts no node access.
+    pub fn sweep_order(
+        &self,
+        pid: PageId,
+        node: &Node<D>,
+        axis: usize,
+        dir: SweepDirection,
+    ) -> &[u16] {
+        self.orders.get(pid, node, axis, dir)
+    }
+
+    /// Bytes held by built sweep orders.
+    pub fn sweep_order_bytes(&self) -> usize {
+        self.orders.order_bytes()
+    }
+
     /// Allocates a page for a new node.
     pub fn alloc(&mut self) -> PageId {
-        self.disk.alloc()
+        let pid = self.disk.alloc();
+        self.orders.cover(pid);
+        pid
     }
 
     /// Encodes and writes `node` to `pid`, keeping the buffer coherent.
@@ -116,6 +149,7 @@ impl<const D: usize> BufferManager<D> {
             node.entries.len()
         );
         self.disk.write(pid, &buf);
+        self.orders.invalidate(pid);
         let evicted = self
             .cache
             .insert(pid, Arc::new(node.clone()), self.page_size);
@@ -127,6 +161,7 @@ impl<const D: usize> BufferManager<D> {
     /// again.
     pub fn free(&mut self, pid: PageId) {
         self.disk.free(pid);
+        self.orders.invalidate(pid);
     }
 
     /// Node access counters since the last
@@ -172,9 +207,21 @@ impl<const D: usize> BufferManager<D> {
         &self.disk
     }
 
-    /// The underlying disk, mutably (persistence import).
-    pub fn disk_mut(&mut self) -> &mut VirtualDisk {
-        &mut self.disk
+    /// Restores a page image at `pid` without charging I/O (persistence
+    /// import; see [`VirtualDisk::restore_page`]), dropping any sweep
+    /// order cached for that page. Call
+    /// [`finish_restore`](BufferManager::finish_restore) once all pages
+    /// are in.
+    pub fn restore_page(&mut self, pid: PageId, data: &[u8]) {
+        self.disk.restore_page(pid, data);
+        self.orders.cover(pid);
+        self.orders.invalidate(pid);
+    }
+
+    /// Completes a sequence of
+    /// [`restore_page`](BufferManager::restore_page) calls.
+    pub fn finish_restore(&mut self) {
+        self.disk.finish_restore();
     }
 }
 

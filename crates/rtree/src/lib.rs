@@ -25,6 +25,7 @@ mod bulk;
 mod delete;
 mod insert;
 mod node;
+mod order;
 mod params;
 mod persist;
 mod query;
@@ -33,6 +34,7 @@ mod validate;
 
 pub use buffer::{thread_buffer_counters, thread_buffer_stats, BufferManager};
 pub use node::{Entry, Node};
+pub use order::thread_sweep_order_stats;
 pub use params::RTreeParams;
 pub use query::Neighbor;
 pub use tree::{AccessStats, RTree};

@@ -85,9 +85,9 @@ impl<const D: usize> RTree<D> {
         for _ in 0..page_count {
             let pid = u64::from_le_bytes(read_exact_array::<8>(r)?);
             r.read_exact(&mut img)?;
-            tree.pages.disk_mut().restore_page(PageId(pid), &img);
+            tree.pages.restore_page(PageId(pid), &img);
         }
-        tree.pages.disk_mut().finish_restore();
+        tree.pages.finish_restore();
         tree.reset_stats();
         tree.root = if root_plus1 == 0 {
             None

@@ -1,6 +1,6 @@
 use std::sync::Arc;
 
-use amdj_geom::Rect;
+use amdj_geom::{Rect, SweepDirection};
 use amdj_storage::{DiskStats, PageId};
 
 use crate::{BufferManager, Node, RTreeParams};
@@ -156,6 +156,29 @@ impl<const D: usize> RTree<D> {
     /// Fetches a node, through the buffer.
     pub fn fetch(&self, pid: PageId) -> Arc<Node<D>> {
         self.pages.fetch(pid)
+    }
+
+    /// The order in which a plane sweep along `axis` in direction `dir`
+    /// visits the entries of `node`, the node [`fetch`](RTree::fetch)ed
+    /// from `pid`: indices into `node.entries`, sorted by
+    /// [`sweep_key`](amdj_geom::sweep_key) then child id. Each page's
+    /// 2·D orders are built lazily, once, and reused until an
+    /// [`insert`](RTree::insert) or [`delete`](RTree::delete) rewrites
+    /// the page; the read path takes no lock and counts no node access.
+    pub fn sweep_order(
+        &self,
+        pid: PageId,
+        node: &Node<D>,
+        axis: usize,
+        dir: SweepDirection,
+    ) -> &[u16] {
+        self.pages.sweep_order(pid, node, axis, dir)
+    }
+
+    /// Bytes held by the sweep orders built so far (at most
+    /// 2·D × capacity × 2 bytes per page).
+    pub fn sweep_order_bytes(&self) -> usize {
+        self.pages.sweep_order_bytes()
     }
 
     /// Allocates a page for a new node.
