@@ -30,9 +30,11 @@
 //! the exact pass, so emitted results stay bit-identical.
 //!
 //! The prefilter never runs when the sweep records rejected distances
-//! (`SweepMarks::track_rejects`, AM-IDJ's full marks): those marks need
-//! the exact distance of every rejected pair, which is precisely what the
-//! prefilter avoids computing.
+//! (`SweepMarks::track_rejects`, the full marks of AM-KDJ's stage one and
+//! of every AM-IDJ stage): those marks need the exact distance of every
+//! rejected pair, which is precisely what the prefilter avoids computing.
+//! So the screen arms only for SJ-SORT and within-joins, whose sweeps
+//! freeze the cutoff and record no marks.
 //!
 //! # Bit-identity
 //!

@@ -37,12 +37,15 @@ use super::checkpoint::PauseCtl;
 use super::sweep::{CompEntry, CompQueue, MarkMode, SweepScratch, SweepSink};
 
 /// The engine's one sweep sink. `axis` selects the cutoff shape:
-/// `Some(eDmax)` freezes the axis cutoff for the whole sweep (aggressive
-/// stage one, which also unlocks the batched leaf kernel), `None` keeps
-/// it live at the clamped `qDmax` (exact sweeps and compensation). The
-/// real cutoff is always the live `qDmax`, clamped by the shared bound
-/// when one exists; emitted results publish the new `qDmax` back into the
-/// shared bound.
+/// `Some(eDmax)` freezes the axis cutoff for the whole sweep and caps the
+/// real cutoff at `eDmax` too (aggressive stage one, which also unlocks
+/// the batched leaf kernel); `None` keeps the axis cutoff live at the
+/// clamped `qDmax` (exact sweeps and compensation). The real cutoff is the
+/// live `qDmax`, clamped by the shared bound when one exists, and by
+/// `eDmax` under a frozen axis: stage one can never emit a pair beyond
+/// `eDmax`, so it records such pairs as rejects (`MarkMode::Full`) for
+/// stage two instead of queueing them. Emitted results publish the new
+/// `qDmax` back into the shared bound.
 pub(crate) struct EngineSink<'x, const D: usize> {
     pub(crate) mainq: &'x mut MainQueue<D>,
     pub(crate) distq: &'x mut DistanceQueue,
@@ -66,7 +69,10 @@ impl<const D: usize> SweepSink<D> for EngineSink<'_, D> {
         self.axis.unwrap_or_else(|| self.qdmax())
     }
     fn real_cutoff(&self) -> f64 {
-        self.qdmax()
+        match self.axis {
+            Some(edmax) => self.qdmax().min(edmax),
+            None => self.qdmax(),
+        }
     }
     fn fixed_axis_cutoff(&self) -> Option<f64> {
         self.axis
@@ -308,7 +314,8 @@ impl<'x, const D: usize> ExpansionDriver<'x, D> {
     /// only cutoff the proven `qDmax`. Aggressive: Algorithm 2 — ratchet
     /// `eDmax` down once `qDmax` catches up, terminate when the dequeued
     /// distance exceeds `eDmax` (erratum fixed, see `amkdj`), sweep with
-    /// suffix marks, and park any expansion that skipped work.
+    /// full marks at `eDmax` on both the axis and the real distance, and
+    /// park any expansion that skipped or rejected a pair.
     pub(crate) fn run_stage_one(&mut self) {
         self.stage_one_loop(false);
     }
@@ -372,8 +379,13 @@ impl<'x, const D: usize> ExpansionDriver<'x, D> {
                     tightenings: &mut self.tightenings,
                 };
                 self.scratch
-                    .sweep(&mut sink, &mut self.stats, MarkMode::Suffix);
-                if !self.scratch.marks_exhausted() {
+                    .sweep(&mut sink, &mut self.stats, MarkMode::Full);
+                // Every pair the sweep skipped or rejected lies strictly
+                // beyond `min(qDmax, eDmax)` as it stood during the sweep.
+                // Once the live `qDmax` is at or below `eDmax`, they all
+                // lie beyond it too, and `qDmax` never grows: none can
+                // reach the answer, so the expansion owes no compensation.
+                if !self.scratch.marks_exhausted() && self.cutoff() > self.edmax {
                     let entry = self.scratch.park(pair.dist.max(self.edmax.next_up()));
                     self.compq.push(entry, &mut self.stats);
                 }

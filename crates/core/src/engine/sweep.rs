@@ -232,14 +232,10 @@ pub(crate) trait SweepSink<const D: usize> {
 pub(crate) enum MarkMode {
     /// No bookkeeping (exact cutoffs throughout — B-KDJ, SJ-SORT).
     None,
-    /// Per-anchor scan-stop positions only: the *real*-distance cutoff is
-    /// exact (`qDmax`), so mid-scan real-distance rejections are final
-    /// (AM-KDJ's aggressive stage).
-    Suffix,
     /// Scan stops *and* explicit mid-scan rejections: the real-distance
     /// cutoff is itself an estimate (`eDmax`), so a pair inside the axis
     /// window but beyond the estimated real cutoff must stay recoverable
-    /// (AM-IDJ).
+    /// (AM-KDJ's aggressive stage one, every AM-IDJ stage).
     Full,
 }
 
@@ -425,10 +421,6 @@ impl<const D: usize> SweepScratch<D> {
         };
         let marks = match mode {
             MarkMode::None => None,
-            MarkMode::Suffix => {
-                self.marks.reset(false);
-                Some(&mut self.marks)
-            }
             MarkMode::Full => {
                 self.marks.reset(true);
                 Some(&mut self.marks)
@@ -521,7 +513,6 @@ pub(crate) fn plane_sweep<const D: usize>(
 ) -> Option<SweepMarks> {
     let mut marks = match mode {
         MarkMode::None => None,
-        MarkMode::Suffix => Some(SweepMarks::default()),
         MarkMode::Full => Some(SweepMarks {
             track_rejects: true,
             ..SweepMarks::default()

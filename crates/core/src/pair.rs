@@ -25,6 +25,15 @@ impl ItemRef {
     pub fn is_object(&self) -> bool {
         matches!(self, ItemRef::Object { .. })
     }
+
+    /// Depth rank of this side: 0 for an object, `level + 1` for a node.
+    #[inline]
+    fn rank(&self) -> u32 {
+        match self {
+            ItemRef::Node { level, .. } => level + 1,
+            ItemRef::Object { .. } => 0,
+        }
+    }
 }
 
 /// An element of the main queue: a ⟨left, right⟩ pair with its minimum
@@ -121,6 +130,16 @@ impl<const D: usize> SpillItem for Pair<D> {
         self.dist
     }
 
+    /// The sum of both sides' depth ranks. Every expansion replaces at
+    /// least one node by its children, one level down, so a child pair
+    /// ranks strictly below its parent: among equal distances the
+    /// deepest pairs pop first, result pairs (rank 0) before any node
+    /// pair, and a tie run is walked depth-first instead of expanding
+    /// every tied node pair before the first tied result surfaces.
+    fn rank(&self) -> u32 {
+        self.a.rank() + self.b.rank()
+    }
+
     fn encoded_len(&self) -> usize {
         Self::ENCODED_LEN
     }
@@ -152,6 +171,10 @@ impl<const D: usize> SpillItem for Pair<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::sweep::{MarkMode, SweepScratch, SweepSink};
+    use crate::{JoinConfig, JoinStats};
+    use amdj_geom::Point;
+    use amdj_rtree::{RTree, RTreeParams};
 
     fn sample() -> Pair<2> {
         Pair {
@@ -177,6 +200,87 @@ mod tests {
     #[test]
     fn key_is_distance() {
         assert_eq!(sample().key(), 3.25);
+    }
+
+    #[test]
+    fn rank_sums_depths_and_results_rank_zero() {
+        let mut p = sample();
+        assert_eq!(p.rank(), 3, "node at level 2 plus an object");
+        p.a = ItemRef::Object { oid: 1 };
+        assert_eq!(p.rank(), 0);
+        p.b = ItemRef::Node { page: 4, level: 0 };
+        assert_eq!(p.rank(), 1);
+    }
+
+    /// Collects every pair a sweep emits, with no pruning.
+    struct CollectAll(Vec<Pair<2>>);
+
+    impl SweepSink<2> for CollectAll {
+        fn axis_cutoff(&self) -> f64 {
+            f64::INFINITY
+        }
+        fn real_cutoff(&self) -> f64 {
+            f64::INFINITY
+        }
+        fn emit(&mut self, pair: Pair<2>) {
+            self.0.push(pair);
+        }
+    }
+
+    fn tree(n: u64, seed: u64) -> RTree<2> {
+        let mut x = seed;
+        let items = (0..n)
+            .map(|id| {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let (px, py) = ((x >> 40) as f64, (x >> 16 & 0xff_ffff) as f64);
+                (Rect::from_point(Point::new([px, py])), id)
+            })
+            .collect();
+        RTree::bulk_load(RTreeParams::for_tests(), items)
+    }
+
+    #[test]
+    fn expansion_children_rank_below_parent() {
+        // Trees of different heights, so the walk meets node-node pairs at
+        // unequal levels and node-object pairs as well as leaf-leaf ones.
+        let (r, s) = (tree(300, 1), tree(40, 2));
+        assert!(r.height() > s.height() && s.height() > 1);
+        let root = Pair {
+            dist: 0.0,
+            a: ItemRef::Node {
+                page: r.root_page().unwrap().0,
+                level: r.height() - 1,
+            },
+            b: ItemRef::Node {
+                page: s.root_page().unwrap().0,
+                level: s.height() - 1,
+            },
+            a_mbr: r.bounds().unwrap(),
+            b_mbr: s.bounds().unwrap(),
+        };
+        let (mut scratch, mut stats) = (SweepScratch::new(), JoinStats::default());
+        let (mut frontier, mut expanded) = (vec![root], 0);
+        let cfg = JoinConfig::unbounded();
+        while let Some(parent) = frontier.pop() {
+            if parent.is_result() {
+                continue;
+            }
+            scratch.expand(&r, &s, &parent, f64::INFINITY, &cfg);
+            let mut sink = CollectAll(Vec::new());
+            scratch.sweep(&mut sink, &mut stats, MarkMode::None);
+            expanded += 1;
+            assert!(!sink.0.is_empty());
+            for child in &sink.0 {
+                assert!(
+                    child.rank() < parent.rank(),
+                    "{child:?} does not rank below {parent:?}"
+                );
+            }
+            frontier.extend(sink.0);
+        }
+        assert!(expanded > 100, "the walk covers every level ({expanded})");
     }
 
     #[test]

@@ -15,6 +15,13 @@
 //! so the queue behaves sensibly even when the uniformity assumption behind
 //! Equation (3) fails. Every split leaves at most half the heap resident,
 //! even when most keys tie at the minimum, so splits stay amortised.
+//!
+//! Items pop in `(key, rank, insertion)` order: equal keys are broken by
+//! the item's [`rank`](SpillItem::rank) (lower first), then first in,
+//! first out. Segment ranges, splits and swap-ins compare `(key, rank)`,
+//! and a segment stores each item's insertion number next to it, so a
+//! budgeted queue pops exactly like an unbounded one however its splits
+//! and swap-ins cut through runs of equal positions.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
@@ -34,6 +41,9 @@ pub const HEAP_ENTRY_OVERHEAD: usize = 24;
 /// Bytes at the start of each segment page recording the valid byte count.
 const PAGE_HEADER: usize = 4;
 
+/// Bytes of the insertion number stored in front of each segment item.
+const SEQ_BYTES: usize = 8;
+
 /// Filled segment pages are buffered and flushed in contiguous extents of
 /// this many pages, so segment traffic is charged mostly sequentially —
 /// the behaviour of an OS write-buffered segment file, which is what the
@@ -43,11 +53,18 @@ const EXTENT_PAGES: usize = 8;
 /// An item storable in a [`SpillQueue`].
 ///
 /// Items are ordered by [`key`](SpillItem::key) (ascending; the queue is a
-/// min-queue) and must serialize to exactly
-/// [`encoded_len`](SpillItem::encoded_len) bytes.
+/// min-queue), equal keys by [`rank`](SpillItem::rank) (ascending), and
+/// must serialize to exactly [`encoded_len`](SpillItem::encoded_len)
+/// bytes.
 pub trait SpillItem: Sized {
     /// The priority key. Must be finite and non-NaN.
     fn key(&self) -> f64;
+    /// Tie-break among equal keys: lower ranks pop first, equal ranks in
+    /// insertion order. A pure function of the item, so it survives
+    /// spills, swap-ins and snapshots without being stored.
+    fn rank(&self) -> u32 {
+        0
+    }
     /// Serialized size in bytes (must match what [`encode`](SpillItem::encode) writes).
     fn encoded_len(&self) -> usize;
     /// Appends the serialized form to `out`.
@@ -194,6 +211,42 @@ pub struct SpillQueueStats {
     pub max_len: u64,
 }
 
+/// An item's place in pop order up to the insertion tie-break: its key,
+/// then its rank. Segment ranges and split points are `Prio` bounds.
+#[derive(Clone, Copy, Debug)]
+struct Prio {
+    key: f64,
+    rank: u32,
+}
+
+impl Prio {
+    fn of<T: SpillItem>(item: &T) -> Self {
+        Prio {
+            key: item.key(),
+            rank: item.rank(),
+        }
+    }
+}
+
+impl PartialEq for Prio {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+impl Eq for Prio {}
+impl PartialOrd for Prio {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for Prio {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.key
+            .total_cmp(&other.key)
+            .then(self.rank.cmp(&other.rank))
+    }
+}
+
 #[derive(Debug)]
 struct HeapEntry<T> {
     key: f64,
@@ -201,32 +254,44 @@ struct HeapEntry<T> {
     item: T,
 }
 
-impl<T> PartialEq for HeapEntry<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key.total_cmp(&other.key) == Ordering::Equal && self.seq == other.seq
+impl<T: SpillItem> HeapEntry<T> {
+    /// Ascending pop order: key, then rank, then insertion (older first).
+    /// The rank is recomputed from the item rather than stored, which
+    /// keeps the entry within [`HEAP_ENTRY_OVERHEAD`].
+    fn pop_order(&self, other: &Self) -> Ordering {
+        self.key
+            .total_cmp(&other.key)
+            .then_with(|| self.item.rank().cmp(&other.item.rank()))
+            .then(self.seq.cmp(&other.seq))
     }
 }
-impl<T> Eq for HeapEntry<T> {}
-impl<T> PartialOrd for HeapEntry<T> {
+
+impl<T: SpillItem> PartialEq for HeapEntry<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.pop_order(other) == Ordering::Equal
+    }
+}
+impl<T: SpillItem> Eq for HeapEntry<T> {}
+impl<T: SpillItem> PartialOrd for HeapEntry<T> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl<T> Ord for HeapEntry<T> {
+impl<T: SpillItem> Ord for HeapEntry<T> {
     fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the min key on top.
-        // Ties broken by insertion order (older first) for determinism.
-        other
-            .key
-            .total_cmp(&self.key)
-            .then_with(|| other.seq.cmp(&self.seq))
+        // Reversed: BinaryHeap is a max-heap, we want the first pop on top.
+        other.pop_order(self)
     }
 }
 
-/// An unsorted on-disk pile holding items with keys in `[lo, next.lo)`.
+/// An unsorted on-disk pile holding items with `(key, rank)` in
+/// `[lo, next.lo)`, each stored after its insertion number. Piles with
+/// equal `lo` are possible (a partial swap-in cuts a run of equal
+/// positions into chunks); every item of an earlier pile then still pops
+/// before every item of a later one.
 #[derive(Debug)]
 struct Segment {
-    lo: f64,
+    lo: Prio,
     pages: Vec<PageId>,
     /// Filled-but-unflushed page images awaiting an extent flush.
     pending: Vec<Vec<u8>>,
@@ -234,11 +299,10 @@ struct Segment {
     /// reserved at the front).
     tail: Vec<u8>,
     count: u64,
-    bytes: u64,
 }
 
 impl Segment {
-    fn new(lo: f64, page_size: usize) -> Self {
+    fn new(lo: Prio, page_size: usize) -> Self {
         let mut tail = Vec::with_capacity(page_size);
         tail.resize(PAGE_HEADER, 0);
         Segment {
@@ -247,7 +311,6 @@ impl Segment {
             pending: Vec::new(),
             tail,
             count: 0,
-            bytes: 0,
         }
     }
 
@@ -363,14 +426,15 @@ impl<T: SpillItem> SpillQueue<T> {
     fn insert(&mut self, item: T) {
         let key = item.key();
         assert!(key.is_finite(), "spill queue key must be finite, got {key}");
+        self.seq += 1;
         if let Some(front_lo) = self.segments.front().map(|s| s.lo) {
-            if key >= front_lo {
-                self.append_to_segment(item, key);
+            let at = Prio::of(&item);
+            if at >= front_lo {
+                self.append_to_segment(self.seq, item, at);
                 return;
             }
         }
         self.heap_bytes += Self::item_cost(&item);
-        self.seq += 1;
         self.heap.push(HeapEntry {
             key,
             seq: self.seq,
@@ -454,37 +518,50 @@ impl<T: SpillItem> SpillQueue<T> {
         Ok(n)
     }
 
-    fn append_to_segment(&mut self, item: T, key: f64) {
-        // Find the last segment whose lo <= key (segments ascend by lo;
-        // the front one exists and front.lo <= key by the caller's check).
-        let idx = match self.segments.iter().position(|s| s.lo > key) {
-            Some(0) => unreachable!("caller checked key >= front lo"),
+    /// Appends a fresh insert to the last segment whose `lo <= at`: it is
+    /// the newest item, so it pops after every equal position already
+    /// queued, wherever that one lies.
+    fn append_to_segment(&mut self, seq: u64, item: T, at: Prio) {
+        // Segments ascend by lo; the front one exists and front.lo <= at
+        // by the caller's check.
+        let idx = match self.segments.iter().position(|s| s.lo > at) {
+            Some(0) => unreachable!("caller checked at >= front lo"),
             Some(i) => i - 1,
             None => self.segments.len() - 1,
         };
+        self.spill_into(idx, seq, item);
+    }
+
+    /// Appends `item` to segment `idx`, counting it as spilled.
+    fn spill_into(&mut self, idx: usize, seq: u64, item: T) {
         let page_size = self.disk.page_size();
         let encoded = item.encoded_len();
         assert!(
-            encoded + PAGE_HEADER <= page_size,
+            SEQ_BYTES + encoded + PAGE_HEADER <= page_size,
             "spill item of {encoded} bytes exceeds page capacity"
         );
-        Self::append_into(&mut self.segments[idx], &mut self.disk, item, page_size);
+        Self::append_into(
+            &mut self.segments[idx],
+            &mut self.disk,
+            seq,
+            item,
+            page_size,
+        );
         self.stats.items_spilled += 1;
     }
 
-    /// Low-level append of one encoded item to a segment's write buffer,
-    /// flushing extents as pages fill.
-    fn append_into(seg: &mut Segment, disk: &mut VirtualDisk, item: T, page_size: usize) {
-        let encoded = item.encoded_len();
-        if seg.tail.len() + encoded > page_size {
+    /// Low-level append of one item and its insertion number to a
+    /// segment's write buffer, flushing extents as pages fill.
+    fn append_into(seg: &mut Segment, disk: &mut VirtualDisk, seq: u64, item: T, page_size: usize) {
+        if seg.tail.len() + SEQ_BYTES + item.encoded_len() > page_size {
             seg.seal_tail(page_size);
             if seg.pending.len() >= EXTENT_PAGES {
                 seg.flush_extent(disk);
             }
         }
+        put_u64(&mut seg.tail, seq);
         item.encode(&mut seg.tail);
         seg.count += 1;
-        seg.bytes += encoded as u64;
     }
 
     /// Splits the overflowing heap so that at most half of its entries
@@ -493,32 +570,38 @@ impl<T: SpillItem> SpillQueue<T> {
     /// next one, so a queue's splits stay within
     /// `2·(inserts + reinserts)/capacity + swap-ins + 1`.
     ///
-    /// With `keep = len / 2` and `median` the key of rank `keep` in
-    /// `(key, seq)` order:
+    /// Positions compare as `(key, rank)` ([`Prio`]). With
+    /// `keep = len / 2` and `median` the position of the entry at index
+    /// `keep` in `(key, rank, seq)` order:
     /// - `median > min`: split at the configured (Equation 3) boundary
-    ///   closest to the median within `(min, median]`, else at the median.
-    ///   Only keys below the boundary stay, all of rank `< keep`.
-    /// - `median == min` (the minimum key fills more than half the heap,
-    ///   e.g. TIGER data's zero-distance pairs): the new segment starts at
-    ///   `min` and the heap keeps only the `keep` oldest min-key entries,
-    ///   so everything it holds still pops before the segment.
+    ///   `(b, 0)` closest to the median within `(min, median]`, else at
+    ///   the median. Only positions below the boundary stay, all of index
+    ///   `< keep`.
+    /// - `median == min` (the minimum position fills more than half the
+    ///   heap, e.g. TIGER data's zero-distance result pairs): the new
+    ///   segment starts at `min` and the heap keeps only the `keep` oldest
+    ///   entries there, so everything it holds still pops before the
+    ///   segment.
     fn split(&mut self) {
         self.stats.splits += 1;
         let mut kept: Vec<HeapEntry<T>> = std::mem::take(&mut self.heap).into_vec();
         let keep = kept.len() / 2;
-        kept.select_nth_unstable_by(keep, |a, b| a.key.total_cmp(&b.key).then(a.seq.cmp(&b.seq)));
-        let median = kept[keep].key;
-        let min = kept[..keep].iter().map(|e| e.key).fold(median, f64::min);
-        let (boundary, mut spill) = if median > min {
+        kept.select_nth_unstable_by(keep, HeapEntry::pop_order);
+        let median = Prio::of(&kept[keep].item);
+        let min = kept[..keep]
+            .iter()
+            .map(|e| Prio::of(&e.item))
+            .fold(median, Prio::min);
+        let (boundary, spill) = if median > min {
             let boundary = self
                 .config
                 .boundaries
                 .iter()
-                .copied()
+                .map(|&key| Prio { key, rank: 0 })
                 .filter(|&b| b > min && b <= median)
-                .reduce(f64::max)
+                .max()
                 .unwrap_or(median);
-            let (below, spill) = kept.into_iter().partition(|e| e.key < boundary);
+            let (below, spill) = kept.into_iter().partition(|e| Prio::of(&e.item) < boundary);
             kept = below;
             (boundary, spill)
         } else {
@@ -535,13 +618,14 @@ impl<T: SpillItem> SpillQueue<T> {
         } else {
             self.segments.push_front(Segment::new(boundary, page_size));
         }
-        // Append in insertion order: a segment then holds equal keys
-        // oldest first, as do later direct appends and swap-ins, so ties
-        // pop in the order an unbounded queue would pop them.
-        spill.sort_unstable_by_key(|e| e.seq);
+        // Everything spilled goes to the front segment, even an entry tied
+        // with a later segment's `lo`: it is older than every equal
+        // position on disk, so it must swap in first. Order within the
+        // pile does not matter; swap-in restores it from the stored
+        // insertion numbers.
         for e in spill {
             self.heap_bytes -= Self::item_cost(&e.item);
-            self.append_to_segment(e.item, e.key);
+            self.spill_into(0, e.seq, e.item);
         }
         self.heap = kept.into();
     }
@@ -560,45 +644,44 @@ impl<T: SpillItem> SpillQueue<T> {
         let seg = self.segments.pop_front()?;
         self.stats.swap_ins += 1;
 
-        let mut items: Vec<T> = Vec::with_capacity(seg.count as usize);
-        for pid in &seg.pages {
-            let image = self.disk.read(*pid).to_vec();
-            let body_len =
-                u32::from_le_bytes(image[..PAGE_HEADER].try_into().expect("header")) as usize;
-            let mut r = Reader::new(&image[PAGE_HEADER..PAGE_HEADER + body_len]);
+        // (insertion number, item) records, in append order.
+        let mut items: Vec<(u64, T)> = Vec::with_capacity(seg.count as usize);
+        let mut decode_body = |body: &[u8]| {
+            let mut r = Reader::new(body);
             while r.remaining() > 0 {
-                items.push(T::decode(&mut r));
+                let seq = r.u64();
+                items.push((seq, T::decode(&mut r)));
             }
+        };
+        let body_len = |image: &[u8]| {
+            PAGE_HEADER
+                + u32::from_le_bytes(image[..PAGE_HEADER].try_into().expect("header")) as usize
+        };
+        for pid in &seg.pages {
+            let image = self.disk.read(*pid);
+            decode_body(&image[PAGE_HEADER..body_len(image)]);
         }
         for image in &seg.pending {
-            let body_len =
-                u32::from_le_bytes(image[..PAGE_HEADER].try_into().expect("header")) as usize;
-            let mut r = Reader::new(&image[PAGE_HEADER..PAGE_HEADER + body_len]);
-            while r.remaining() > 0 {
-                items.push(T::decode(&mut r));
-            }
+            decode_body(&image[PAGE_HEADER..body_len(image)]);
         }
-        if seg.tail.len() > PAGE_HEADER {
-            let mut r = Reader::new(&seg.tail[PAGE_HEADER..]);
-            while r.remaining() > 0 {
-                items.push(T::decode(&mut r));
-            }
-        }
+        decode_body(&seg.tail[PAGE_HEADER..]);
         for pid in seg.pages {
             self.disk.free(pid);
         }
         debug_assert_eq!(items.len() as u64, seg.count);
 
-        let total: usize = items.iter().map(Self::item_cost).sum();
+        let total: usize = items.iter().map(|(_, it)| Self::item_cost(it)).sum();
         if total > self.config.mem_budget && items.len() > 1 {
-            // Partial swap-in: keep the smallest keys within budget and
-            // re-spill the rest — into heap-sized segments, so each future
-            // swap-in consumes exactly one segment and the total re-spill
-            // I/O over the queue's life stays linear.
-            items.sort_by(|a, b| a.key().total_cmp(&b.key()));
+            // Partial swap-in: keep the first items in pop order within
+            // budget and re-spill the rest — into heap-sized segments, so
+            // each future swap-in consumes exactly one segment and the
+            // total re-spill I/O over the queue's life stays linear.
+            items.sort_unstable_by(|(sa, a), (sb, b)| {
+                Prio::of(a).cmp(&Prio::of(b)).then(sa.cmp(sb))
+            });
             let mut used = 0;
             let mut cut = items.len();
-            for (i, it) in items.iter().enumerate() {
+            for (i, (_, it)) in items.iter().enumerate() {
                 used += Self::item_cost(it);
                 if used > self.config.mem_budget && i > 0 {
                     cut = i;
@@ -611,7 +694,7 @@ impl<T: SpillItem> SpillQueue<T> {
                 let mut chunks: Vec<Segment> = Vec::new();
                 let mut chunk: Option<Segment> = None;
                 let mut chunk_cost = 0usize;
-                for it in rest {
+                for (seq, it) in rest {
                     // Close the chunk *before* an item would push it past
                     // the budget, so every re-spilled chunk fits in memory
                     // and its own swap-in never re-splits it. (A single
@@ -621,12 +704,12 @@ impl<T: SpillItem> SpillQueue<T> {
                         if let Some(done) = chunk.take() {
                             chunks.push(done);
                         }
-                        chunk = Some(Segment::new(it.key(), page_size));
+                        chunk = Some(Segment::new(Prio::of(&it), page_size));
                         chunk_cost = 0;
                     }
                     chunk_cost += cost;
                     let seg = chunk.as_mut().expect("just created");
-                    Self::append_into(seg, &mut self.disk, it, page_size);
+                    Self::append_into(seg, &mut self.disk, seq, it, page_size);
                     self.stats.items_spilled += 1;
                 }
                 if let Some(done) = chunk.take() {
@@ -638,13 +721,11 @@ impl<T: SpillItem> SpillQueue<T> {
                 }
             }
         }
-        for item in items {
-            let key = item.key();
+        for (seq, item) in items {
             self.heap_bytes += Self::item_cost(&item);
-            self.seq += 1;
             self.heap.push(HeapEntry {
-                key,
-                seq: self.seq,
+                key: item.key(),
+                seq,
                 item,
             });
         }
@@ -987,6 +1068,102 @@ mod tests {
         assert!(q.is_empty(), "queue holds items the reference does not");
     }
 
+    /// An item whose rank is carried explicitly: key, rank and payload id.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    struct Ranked {
+        key: f64,
+        rank: u32,
+        id: u64,
+    }
+
+    impl SpillItem for Ranked {
+        fn key(&self) -> f64 {
+            self.key
+        }
+        fn rank(&self) -> u32 {
+            self.rank
+        }
+        fn encoded_len(&self) -> usize {
+            20
+        }
+        fn encode(&self, out: &mut Vec<u8>) {
+            crate::codec::put_f64(out, self.key);
+            put_u32(out, self.rank);
+            put_u64(out, self.id);
+        }
+        fn try_decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+            Ok(Ranked {
+                key: r.try_f64("item key")?,
+                rank: r.try_u32("item rank")?,
+                id: r.try_u64("item id")?,
+            })
+        }
+    }
+
+    #[test]
+    fn ranked_ties_pop_in_key_rank_insertion_order() {
+        // Keys from two to four values and ranks 0–3 under budgets of one
+        // to nine items: nearly every split and swap-in cuts through a run
+        // of equal keys, and only the rank orders it.
+        let cost = SpillQueue::<Ranked>::per_item_cost(20);
+        for budget in 1..=9 {
+            for distinct in 2..=4u64 {
+                let mut cfg = SpillQueueConfig::budgeted(budget * cost, vec![0.5, 1.5]);
+                cfg.cost.page_size = 128;
+                let mut q = SpillQueue::new(cfg.clone());
+                let mut unbounded = SpillQueue::new(SpillQueueConfig::unbounded());
+                // The reference: live items by (key, rank, insertion).
+                let mut live = BTreeMap::new();
+                let (mut at, mut rng, mut parked) = (0u64, budget as u64 * 31 + distinct, None);
+                for id in 0..600u64 {
+                    rng = rng
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    let r = rng >> 33;
+                    match r % 10 {
+                        0..=5 => {
+                            let it = Ranked {
+                                key: (r / 10 % distinct) as f64,
+                                rank: (r / 100 % 4) as u32,
+                                id,
+                            };
+                            q.push(it);
+                            unbounded.push(it);
+                            live.insert((it.key as u64, it.rank, at), it);
+                            at += 1;
+                        }
+                        6..=8 => {
+                            let want = live.pop_first().map(|(_, it)| it);
+                            let got = q.pop();
+                            assert_eq!(unbounded.pop(), want);
+                            assert_eq!(got, want, "budget {budget}, {distinct} keys");
+                            parked = got;
+                        }
+                        _ => {
+                            if let Some(it) = parked.take() {
+                                q.reinsert(it);
+                                unbounded.reinsert(it);
+                                live.insert((it.key as u64, it.rank, at), it);
+                                at += 1;
+                            }
+                        }
+                    }
+                }
+                assert!(q.stats().splits > 0, "the budget must force splits");
+                // A save/restore round trip keeps the order too.
+                let mut image = Vec::new();
+                q.save_contents(&mut image);
+                let mut restored: SpillQueue<Ranked> = SpillQueue::new(cfg);
+                restored
+                    .restore_contents(&mut Reader::new(&image))
+                    .expect("own image");
+                let want: Vec<Ranked> = live.into_values().collect();
+                assert_eq!(restored.drain_sorted(), want);
+                assert_eq!(unbounded.drain_sorted(), want);
+            }
+        }
+    }
+
     #[test]
     fn reinsert_skips_insertion_stats() {
         let mut q = SpillQueue::new(SpillQueueConfig::unbounded());
@@ -1203,11 +1380,12 @@ mod tests {
         // Hand-build one oversized front segment (25 items against a
         // ten-item budget) so the first pop must partially swap it in.
         let page_size = q.disk.page_size();
-        let mut seg = Segment::new(5.0, page_size);
+        let mut seg = Segment::new(Prio { key: 5.0, rank: 0 }, page_size);
         for i in 0..25u64 {
             SpillQueue::append_into(
                 &mut seg,
                 &mut q.disk,
+                i,
                 Item {
                     key: 5.0 + i as f64,
                     id: i,

@@ -1,9 +1,10 @@
 //! Property-based validation of the storage substrate: the spill queue
 //! must behave exactly like a reference binary heap under arbitrary
-//! push/pop interleavings, budgets, and boundary sets; the external
-//! sorter must sort; the LRU must respect its budget.
+//! push/pop interleavings, budgets, and boundary sets, popping equal keys
+//! in (rank, insertion) order; the external sorter must sort; the LRU
+//! must respect its budget.
 
-use amdj_storage::codec::{put_f64, put_u64, CodecError, Reader};
+use amdj_storage::codec::{put_f64, put_u32, put_u64, CodecError, Reader};
 use amdj_storage::{ByteLru, CostModel, ExternalSorter, SpillItem, SpillQueue, SpillQueueConfig};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -146,6 +147,119 @@ fn run_tie_heavy(
     Ok(())
 }
 
+/// An item with an explicit tie-break rank.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct Ranked {
+    key: f64,
+    rank: u32,
+    id: u64,
+}
+
+impl SpillItem for Ranked {
+    fn key(&self) -> f64 {
+        self.key
+    }
+    fn rank(&self) -> u32 {
+        self.rank
+    }
+    fn encoded_len(&self) -> usize {
+        20
+    }
+    fn encode(&self, out: &mut Vec<u8>) {
+        put_f64(out, self.key);
+        put_u32(out, self.rank);
+        put_u64(out, self.id);
+    }
+    fn try_decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(Ranked {
+            key: r.try_f64("item key")?,
+            rank: r.try_u32("item rank")?,
+            id: r.try_u64("item id")?,
+        })
+    }
+}
+
+/// Interleavings for the ranked-tie property: a push carries a key index
+/// and a rank, a reinsert puts the last popped item back.
+#[derive(Clone, Debug)]
+enum RankOp {
+    Push(u8, u32),
+    Pop,
+    Reinsert,
+}
+
+fn rank_ops() -> impl Strategy<Value = Vec<RankOp>> {
+    prop::collection::vec(
+        prop_oneof![
+            6 => (0u8..4, 0u32..4).prop_map(|(k, r)| RankOp::Push(k, r)),
+            3 => Just(RankOp::Pop),
+            1 => Just(RankOp::Reinsert),
+        ],
+        1..500,
+    )
+}
+
+/// Runs `ops` with keys from `distinct` values against two references: a
+/// map ordered by (key, rank, insertion) and an unbounded queue fed the
+/// same operations. Every pop must match both, and a save/restore round
+/// trip of what is left must pop in the same order.
+fn run_ranked(ops: Vec<RankOp>, distinct: u8, items: usize) -> Result<(), TestCaseError> {
+    let cost = CostModel {
+        page_size: 128,
+        ..CostModel::free()
+    };
+    let config = SpillQueueConfig {
+        mem_budget: items * SpillQueue::<Ranked>::per_item_cost(20),
+        boundaries: vec![0.5, 1.5],
+        cost,
+    };
+    let mut q = SpillQueue::new(config.clone());
+    let mut unbounded = SpillQueue::new(SpillQueueConfig::unbounded());
+    let mut live = BTreeMap::new();
+    let (mut at, mut parked) = (0u64, None);
+    for (id, op) in ops.into_iter().enumerate() {
+        match op {
+            RankOp::Push(k, rank) => {
+                let it = Ranked {
+                    key: f64::from(k % distinct),
+                    rank,
+                    id: id as u64,
+                };
+                q.push(it);
+                unbounded.push(it);
+                live.insert((k % distinct, rank, at), it);
+                at += 1;
+            }
+            RankOp::Pop => {
+                let want = live.pop_first().map(|(_, it)| it);
+                prop_assert_eq!(unbounded.pop(), want);
+                let got = q.pop();
+                prop_assert_eq!(got, want);
+                parked = got;
+            }
+            RankOp::Reinsert => {
+                if let Some(it) = parked.take() {
+                    q.reinsert(it);
+                    unbounded.reinsert(it);
+                    live.insert((it.key as u8, it.rank, at), it);
+                    at += 1;
+                }
+            }
+        }
+    }
+    let mut image = Vec::new();
+    q.save_contents(&mut image);
+    let mut restored: SpillQueue<Ranked> = SpillQueue::new(config);
+    prop_assert_eq!(
+        restored.restore_contents(&mut Reader::new(&image)),
+        Ok(live.len() as u64)
+    );
+    let want: Vec<Ranked> = live.into_values().collect();
+    prop_assert_eq!(restored.drain_sorted(), want.clone());
+    prop_assert_eq!(unbounded.drain_sorted(), want);
+    Ok(())
+}
+
 /// One `Item` costs this much heap memory inside the queue.
 fn item_cost() -> usize {
     SpillQueue::<Item>::per_item_cost(16)
@@ -258,6 +372,18 @@ proptest! {
         page in 64usize..256,
     ) {
         run_tie_heavy(ops, distinct, mem, page)?;
+    }
+
+    /// Ranks 0–3 over two to four keys at budgets of one to nine items:
+    /// splits and swap-ins cut through runs of equal (key, rank), and pops
+    /// must still come out in (key, rank, insertion) order.
+    #[test]
+    fn spill_queue_pops_ties_by_rank_then_insertion(
+        ops in rank_ops(),
+        distinct in 2u8..5,
+        items in 1usize..10,
+    ) {
+        run_ranked(ops, distinct, items)?;
     }
 
     #[test]

@@ -117,6 +117,39 @@ fn arizona_queue_splits_stay_amortised() {
     assert_same_distances(&par.results, &seq.results, "par_am_kdj vs am_kdj");
 }
 
+/// Every Arizona answer up to k = 10K lies at distance 0. The main queue
+/// pops equal distances deepest pair first, so the zero-distance result
+/// pairs surface after a few hundred expansions instead of after all
+/// 6,377 overlapping node pairs; and AM-KDJ's stage one, cutting real
+/// distances at `eDmax`, queues no more pairs than B-KDJ.
+#[test]
+fn arizona_distance_ties_pop_depth_first() {
+    let (a, b) = tiger::arizona_workload(0.19, 1);
+    let r = RTree::bulk_load(RTreeParams::paper_defaults(), a);
+    let s = RTree::bulk_load(RTreeParams::paper_defaults(), b);
+    let cfg = JoinConfig::default();
+    for k in [1_000, 10_000] {
+        let bk = b_kdj(&r, &s, k, &cfg);
+        let am = am_kdj(&r, &s, k, &cfg, &AmKdjOptions::default());
+        assert_same_distances(&am.results, &bk.results, "am_kdj vs b_kdj");
+        if k == 1_000 {
+            for (name, out) in [("am_kdj", &am), ("b_kdj", &bk)] {
+                assert!(
+                    out.stats.stage1_expansions < 1_000,
+                    "{name}: {} expansions at k = {k}",
+                    out.stats.stage1_expansions
+                );
+            }
+        }
+        assert!(
+            am.stats.mainq_insertions <= bk.stats.mainq_insertions,
+            "k = {k}: AM {} vs B {} main-queue insertions",
+            am.stats.mainq_insertions,
+            bk.stats.mainq_insertions
+        );
+    }
+}
+
 #[test]
 fn smaller_tree_buffer_more_disk_reads() {
     let geo = Geography::arizona_like(37);
